@@ -3,13 +3,16 @@
 // coordinator daemon) must build the Experiment and FaultModel from the
 // SAME flags, or a worker launched with subtly different options would be
 // refused at hello (manifest hash mismatch) -- or worse, not exist to
-// refuse. One flag table, one builder, no drift.
+// refuse. One flag table, one builder, no drift. The strict number
+// parsing below is shared by every drivefi_* CLI, drivefi_query included.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,11 +20,57 @@
 #include "core/bayes_model.h"
 #include "core/experiment.h"
 #include "core/fault_model.h"
+#include "core/jsonl.h"
 #include "core/selector.h"
 #include "scenario/dsl.h"
 #include "sim/scenario.h"
 
 namespace campaign_cli {
+
+/// Parses the unsigned value of `flag` strictly (core::parse_u64_strict:
+/// digits only, so no sign, no trailing bytes, no overflow) and at most
+/// `max`. Anything else is an error naming the flag: exit status 2.
+inline std::uint64_t parse_u64_flag(
+    const std::string& flag, const std::string& value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t out = 0;
+  try {
+    out = drivefi::core::parse_u64_strict(value, flag);
+  } catch (const std::exception&) {
+    std::fprintf(stderr, "error: %s wants an unsigned integer, got '%s'\n",
+                 flag.c_str(), value.c_str());
+    std::exit(2);
+  }
+  if (out > max) {
+    std::fprintf(stderr, "error: %s must be at most %llu, got %s\n",
+                 flag.c_str(), static_cast<unsigned long long>(max),
+                 value.c_str());
+    std::exit(2);
+  }
+  return out;
+}
+
+/// Parses a duration in seconds (core::parse_double_strict) that must be
+/// finite and non-negative. Anything else is an error naming the flag:
+/// exit status 2.
+inline double parse_seconds_flag(const std::string& flag,
+                                 const std::string& value) {
+  double out = 0.0;
+  bool parsed = true;
+  try {
+    out = drivefi::core::parse_double_strict(value, flag);
+  } catch (const std::exception&) {
+    parsed = false;
+  }
+  if (!parsed || !std::isfinite(out) || out < 0.0) {
+    std::fprintf(stderr,
+                 "error: %s wants a non-negative number of seconds, got "
+                 "'%s'\n",
+                 flag.c_str(), value.c_str());
+    std::exit(2);
+  }
+  return out;
+}
 
 /// Every flag that feeds the campaign manifest (and thus the fleet
 /// compatibility hash), plus the cost-only knobs.
@@ -37,8 +86,6 @@ struct CampaignArgs {
   unsigned threads = 0;
   bool fork_replays = true;
   std::size_t checkpoint_stride = 4;
-  bool replay_tree = true;
-  std::size_t max_live_snapshots = 0;
 };
 
 inline const char* kCampaignFlagHelp =
@@ -55,34 +102,32 @@ inline const char* kCampaignFlagHelp =
     "  --pipeline-seed S    sensor-noise seed (default 7)\n"
     "  --threads N          worker threads (0 = all hardware)\n"
     "  --fork / --no-fork   fork-from-golden replay (default: on)\n"
-    "  --checkpoint-stride N  scenes between golden checkpoints (default 4)\n"
-    "  --replay-tree / --no-replay-tree\n"
-    "                       shared-prefix replay tree (default: on; cost-only,\n"
-    "                       results identical either way)\n"
-    "  --max-live-snapshots N  cap on in-memory trunk snapshots (0 = uncapped;\n"
-    "                       over-budget tails fall back to golden checkpoints)\n";
+    "  --checkpoint-stride N  scenes between golden checkpoints (default 4)\n";
 
 /// Consumes one campaign flag; returns false when `arg` is not a campaign
-/// flag (the caller handles its own). `next` yields the flag's value.
+/// flag (the caller handles its own). `next` yields the flag's value. A
+/// malformed number exits with status 2 (parse_u64_flag).
 inline bool parse_campaign_flag(CampaignArgs& a, const std::string& arg,
                                 const std::function<const char*()>& next) {
+  const auto count = [&] { return parse_u64_flag(arg, next()); };
+  const auto small = [&] {
+    return static_cast<unsigned>(
+        parse_u64_flag(arg, next(), std::numeric_limits<unsigned>::max()));
+  };
   if (arg == "--model") a.model_name = next();
-  else if (arg == "--runs") a.runs = static_cast<std::size_t>(std::atoll(next()));
-  else if (arg == "--seed") a.seed = static_cast<std::uint64_t>(std::atoll(next()));
-  else if (arg == "--bits") a.bits = static_cast<unsigned>(std::atoi(next()));
-  else if (arg == "--replays") a.replays = static_cast<std::size_t>(std::atoll(next()));
+  else if (arg == "--runs") a.runs = count();
+  else if (arg == "--seed") a.seed = count();
+  else if (arg == "--bits") a.bits = small();
+  else if (arg == "--replays") a.replays = count();
   else if (arg == "--load-bn") a.load_bn = next();
   else if (arg == "--save-bn") a.save_bn = next();
   else if (arg == "--scn") a.scn_path = next();
-  else if (arg == "--scenarios") a.scenarios_limit = static_cast<std::size_t>(std::atoll(next()));
-  else if (arg == "--pipeline-seed") a.pipeline_seed = static_cast<std::uint64_t>(std::atoll(next()));
-  else if (arg == "--threads") a.threads = static_cast<unsigned>(std::atoi(next()));
+  else if (arg == "--scenarios") a.scenarios_limit = count();
+  else if (arg == "--pipeline-seed") a.pipeline_seed = count();
+  else if (arg == "--threads") a.threads = small();
   else if (arg == "--fork") a.fork_replays = true;
   else if (arg == "--no-fork") a.fork_replays = false;
-  else if (arg == "--checkpoint-stride") a.checkpoint_stride = static_cast<std::size_t>(std::atoll(next()));
-  else if (arg == "--replay-tree") a.replay_tree = true;
-  else if (arg == "--no-replay-tree") a.replay_tree = false;
-  else if (arg == "--max-live-snapshots") a.max_live_snapshots = static_cast<std::size_t>(std::atoll(next()));
+  else if (arg == "--checkpoint-stride") a.checkpoint_stride = count();
   else return false;
   return true;
 }
@@ -117,8 +162,6 @@ inline CampaignSetup build_campaign(const CampaignArgs& a, bool quiet) {
   options.executor.threads = a.threads;
   options.fork_replays = a.fork_replays;
   options.checkpoint_stride = a.checkpoint_stride;
-  options.replay_tree = a.replay_tree;
-  options.max_live_snapshots = a.max_live_snapshots;
 
   if (!quiet)
     std::printf("running %zu golden scenarios (%s)...\n", suite.size(),
@@ -172,17 +215,20 @@ inline CampaignSetup build_campaign(const CampaignArgs& a, bool quiet) {
   return setup;
 }
 
-/// Parses "host:port" (port required). Exits with status 2 on malformed
-/// input.
-inline void parse_host_port(const std::string& value, std::string* host,
-                            std::uint16_t* port) {
+/// Parses the "host:port" value of `flag` (port required, 0..65535).
+/// Exits with status 2, naming the flag, on malformed input.
+inline void parse_host_port(const std::string& flag, const std::string& value,
+                            std::string* host, std::uint16_t* port) {
   const std::size_t colon = value.rfind(':');
   if (colon == std::string::npos || colon + 1 >= value.size()) {
-    std::fprintf(stderr, "error: expected HOST:PORT, got %s\n", value.c_str());
+    std::fprintf(stderr, "error: %s wants HOST:PORT, got '%s'\n",
+                 flag.c_str(), value.c_str());
     std::exit(2);
   }
   *host = value.substr(0, colon);
-  *port = static_cast<std::uint16_t>(std::atoi(value.c_str() + colon + 1));
+  *port = static_cast<std::uint16_t>(
+      parse_u64_flag(flag + " port", value.substr(colon + 1),
+                     std::numeric_limits<std::uint16_t>::max()));
 }
 
 }  // namespace campaign_cli

@@ -135,7 +135,8 @@ int cmd_run(int argc, char** argv) {
     else if (arg == "--overwrite") overwrite = true;
     else if (arg == "--progress") progress = true;
     else if (arg == "--metrics-out") metrics_out = next();
-    else if (arg == "--metrics-interval") metrics_interval = std::atof(next());
+    else if (arg == "--metrics-interval")
+      metrics_interval = campaign_cli::parse_seconds_flag(arg, next());
     else if (arg == "--trace-out") trace_out = next();
     else if (arg == "--shard") {
       const std::string value = next();
@@ -144,8 +145,8 @@ int cmd_run(int argc, char** argv) {
         std::fprintf(stderr, "error: --shard wants i/N, got %s\n", value.c_str());
         return 2;
       }
-      shard_index = static_cast<std::size_t>(std::atoll(value.substr(0, slash).c_str()));
-      shard_count = static_cast<std::size_t>(std::atoll(value.substr(slash + 1).c_str()));
+      shard_index = campaign_cli::parse_u64_flag(arg, value.substr(0, slash));
+      shard_count = campaign_cli::parse_u64_flag(arg, value.substr(slash + 1));
       if (shard_count == 0 || shard_index >= shard_count) {
         std::fprintf(stderr, "error: --shard %zu/%zu is out of range\n",
                      shard_index, shard_count);
@@ -259,19 +260,18 @@ int cmd_worker(int argc, char** argv) {
     };
     if (campaign_cli::parse_campaign_flag(args, arg, next)) continue;
     if (arg == "--connect") {
-      campaign_cli::parse_host_port(next(), &config.host, &config.port);
+      campaign_cli::parse_host_port(arg, next(), &config.host, &config.port);
       have_connect = true;
     } else if (arg == "--store") config.store_path = next();
     else if (arg == "--store-format")
       config.store_format = core::parse_store_format(next());
     else if (arg == "--name") config.name = next();
     else if (arg == "--reconnect-max-attempts")
-      config.reconnect_max_attempts =
-          static_cast<std::size_t>(std::atoll(next()));
+      config.reconnect_max_attempts = campaign_cli::parse_u64_flag(arg, next());
     else if (arg == "--reconnect-base-delay")
-      config.reconnect_base_delay = std::atof(next());
+      config.reconnect_base_delay = campaign_cli::parse_seconds_flag(arg, next());
     else if (arg == "--reconnect-max-delay")
-      config.reconnect_max_delay = std::atof(next());
+      config.reconnect_max_delay = campaign_cli::parse_seconds_flag(arg, next());
     else {
       std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
       return 2;
@@ -313,7 +313,7 @@ int cmd_status(int argc, char** argv) {
         std::fprintf(stderr, "error: --connect needs a value\n");
         return 2;
       }
-      campaign_cli::parse_host_port(argv[++i], &host, &port);
+      campaign_cli::parse_host_port(arg, argv[++i], &host, &port);
       have_connect = true;
     } else if (arg == "--json") {
       raw_json = true;

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_cli.h"
 #include "core/query.h"
 #include "core/report.h"
 #include "util/table.h"
@@ -200,7 +201,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--run") {
-      run_index = static_cast<std::size_t>(std::atoll(next()));
+      run_index = campaign_cli::parse_u64_flag(arg, next());
       have_run = true;
     } else if (arg == "--jsonl") {
       jsonl_path = next();

@@ -152,7 +152,7 @@ struct PipelineSnapshot {
   double last_primary_control_time = -1.0;
 
   /// Approximate resident size (struct plus heap-allocated containers);
-  /// used by memory accounting in the replay-tree bench and obs counters.
+  /// used by the benchmarks' golden-checkpoint memory accounting.
   std::size_t approx_size_bytes() const;
 
   bool operator==(const PipelineSnapshot&) const = default;

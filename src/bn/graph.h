@@ -1,5 +1,5 @@
-// Directed acyclic graph with named nodes; the structural backbone shared
-// by the linear-Gaussian and discrete Bayesian networks.
+// Directed acyclic graph with named nodes; the structural backbone of the
+// linear-Gaussian Bayesian networks.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +39,7 @@ class Dag {
   // maintained by add_edge, so this always succeeds.
   std::vector<NodeId> topological_order() const;
 
-  // Reachability along directed edges (used by tests and by d-separation
-  // style diagnostics).
+  // Reachability along directed edges (the cycle check behind add_edge).
   bool reaches(NodeId from, NodeId to) const;
 
   // Ancestors of a set of nodes, including the nodes themselves.

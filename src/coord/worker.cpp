@@ -135,6 +135,16 @@ class StreamingSink : public core::ResultSink {
 
   void go_offline(const std::string& reason) {
     connected_ = false;
+    // A coordinator that stores the last record sends `complete` and hangs
+    // up; when it hangs up with our later frames unread, the kernel resets
+    // the connection and our next send fails with the verdict still queued
+    // here. Honour it: spooling would end in reconnects to a coordinator
+    // that no longer serves, until the backoff budget runs out.
+    try {
+      drain_incoming();
+    } catch (const net::SocketError&) {
+    } catch (const net::FrameError&) {
+    }
     DFI_LOG_WARN << "worker: transport lost mid-lease (" << reason
                  << "); spooling to the local store";
   }

@@ -4,12 +4,9 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "core/fault_model.h"
-#include "core/replay_plan.h"
-#include "core/replay_tree.h"
 #include "core/result_store.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -92,18 +89,10 @@ CampaignStats Experiment::run(const FaultModel& model,
         stats.add(record);
         for (ResultSink* sink : sinks) sink->consume(record);
       };
-  if (tree_enabled() && n > 1) {
-    std::vector<std::size_t> all(n);
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    const ReplayTreeExecutor tree(
-        *this, {options_.executor, options_.max_live_snapshots});
-    tree.run(build_replay_plan(model, all, *this), consume);
-  } else {
-    const ParallelExecutor executor(options_.executor);
-    executor.run_ordered<InjectionRecord>(
-        n, [&](std::size_t i) { return execute(model.spec(i, *this)); },
-        consume);
-  }
+  const ParallelExecutor executor(options_.executor);
+  executor.run_ordered<InjectionRecord>(
+      n, [&](std::size_t i) { return execute(model.spec(i, *this)); },
+      consume);
 
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -175,19 +164,11 @@ CampaignStats Experiment::run_indices(
         stats.add(record);
         for (ResultSink* sink : sinks) sink->consume(record);
       };
-  if (tree_enabled() && ordered.size() > 1) {
-    // A fleet lease becomes a subtree: the plan covers exactly the leased
-    // indices, and order_pos recovers ascending run-index delivery.
-    const ReplayTreeExecutor tree(
-        *this, {options_.executor, options_.max_live_snapshots});
-    tree.run(build_replay_plan(model, ordered, *this), consume);
-  } else {
-    const ParallelExecutor executor(options_.executor);
-    executor.run_ordered<InjectionRecord>(
-        ordered.size(),
-        [&](std::size_t i) { return execute(model.spec(ordered[i], *this)); },
-        consume);
-  }
+  const ParallelExecutor executor(options_.executor);
+  executor.run_ordered<InjectionRecord>(
+      ordered.size(),
+      [&](std::size_t i) { return execute(model.spec(ordered[i], *this)); },
+      consume);
 
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -196,16 +177,13 @@ CampaignStats Experiment::run_indices(
   return stats;
 }
 
-InjectionRecord Experiment::execute(const RunSpec& spec,
-                                    const ads::PipelineSnapshot* fork_override,
-                                    const SpliceCandidates* extra_splice) const {
+InjectionRecord Experiment::execute(const RunSpec& spec) const {
   InjectionRecord record;
   record.run_index = spec.run_index;
   record.description = spec.description;
 
   if (spec.kind == RunSpec::Kind::kValue) {
-    const RunResult result = replay_value_fault(spec.fault, spec.hold_seconds,
-                                                fork_override, extra_splice);
+    const RunResult result = replay_value_fault(spec.fault, spec.hold_seconds);
     if (record.description.empty()) {
       std::ostringstream desc;
       desc << scenarios_.at(spec.fault.scenario_index).name
@@ -225,8 +203,7 @@ InjectionRecord Experiment::execute(const RunSpec& spec,
 
   const RunResult result =
       replay_bit_fault(spec.scenario_index, spec.target, spec.bits,
-                       spec.instruction_index, spec.fault_seed, fork_override,
-                       extra_splice);
+                       spec.instruction_index, spec.fault_seed);
   record.scenario_index = spec.scenario_index;
   record.scene_index = result.hazard_scene_index;
   record.outcome = result.outcome;
@@ -238,8 +215,7 @@ InjectionRecord Experiment::execute(const RunSpec& spec,
 RunResult Experiment::run_replay(const sim::Scenario& scenario,
                                  const GoldenTrace& golden,
                                  ads::AdsPipeline& pipeline,
-                                 const ads::PipelineSnapshot* fork_from,
-                                 const SpliceCandidates* extra_splice) const {
+                                 const ads::PipelineSnapshot* fork_from) const {
   DFI_SPAN("replay");
   const bool fork = forking_enabled() && golden.checkpoint_stride > 0;
   const auto start = std::chrono::steady_clock::now();
@@ -270,30 +246,18 @@ RunResult Experiment::run_replay(const sim::Scenario& scenario,
       continue;
 
     // A scene frame just closed. If the fault window is over and the
-    // faulty state is bit-equal to a golden state at this scene -- the
-    // stride-aligned checkpoint, or a trunk divergence snapshot when the
-    // replay tree supplies them -- every remaining tick would replay the
-    // golden run: splice its tail instead of simulating it (this also
-    // decides kMasked exactly and early: a spliced run can never diverge
-    // later). Which candidate detected the match only moves the splice
-    // scene, and a match at any scene implies a match at every later one,
-    // so densifying candidates changes cost, never records.
+    // faulty state is bit-equal to the golden checkpoint at this scene,
+    // every remaining tick would replay the golden run: splice its tail
+    // instead of simulating it (this also decides kMasked exactly and
+    // early: a spliced run can never diverge later). A match at any scene
+    // implies a match at every later one, so the stride moves only where
+    // the splice lands, never the record.
     const std::size_t scene = pipeline.scenes().size() - 1;
-    const ads::PipelineSnapshot* candidate = nullptr;
-    if (extra_splice != nullptr) {
-      const auto it = std::lower_bound(
-          extra_splice->begin(), extra_splice->end(), scene,
-          [](const auto& entry, std::size_t s) { return entry.first < s; });
-      if (it != extra_splice->end() && it->first == scene)
-        candidate = it->second;
-    }
-    if (candidate == nullptr && scene % golden.checkpoint_stride == 0) {
-      const std::size_t k = scene / golden.checkpoint_stride;
-      if (k < golden.checkpoints.size()) candidate = &golden.checkpoints[k];
-    }
-    if (candidate == nullptr) continue;
+    if (scene % golden.checkpoint_stride != 0) continue;
+    const std::size_t k = scene / golden.checkpoint_stride;
+    if (k >= golden.checkpoints.size()) continue;
     if (!pipeline.faults_quiescent()) continue;
-    if (!pipeline.state_matches(*candidate)) continue;
+    if (!pipeline.state_matches(golden.checkpoints[k])) continue;
     pipeline.splice_golden_tail(golden.scenes, scene + 1);
     spliced = true;
     break;
@@ -335,67 +299,8 @@ RunResult Experiment::run_replay(const sim::Scenario& scenario,
   return result;
 }
 
-std::vector<ads::PipelineSnapshot> Experiment::materialize_trunk(
-    std::size_t scenario_index, const std::vector<std::size_t>& scenes) const {
-  DFI_SPAN("trunk");
-  const sim::Scenario& scenario = scenarios_.at(scenario_index);
-  const GoldenTrace& golden = goldens_.at(scenario_index);
-
-  static obs::Counter& trunk_scenes_metric =
-      obs::metrics().counter("replay_tree.trunk_scenes_simulated");
-  static obs::Counter& trunk_restores_metric =
-      obs::metrics().counter("replay_tree.trunk_checkpoint_restores");
-  static obs::Counter& snapshots_metric =
-      obs::metrics().counter("replay_tree.snapshots_taken");
-
-  // A fault-free pipeline whose states are bit-exactly the golden run's:
-  // restore + re-step reproduces the original simulation (the same
-  // property the golden-tail splice rests on), so every snapshot captured
-  // here is interchangeable with a golden checkpoint at that scene.
-  sim::World world(scenario.world);
-  ads::AdsPipeline pipeline(world, pipeline_config_);
-  pipeline.adopt_scene_log(std::move(t_scene_scratch));
-  pipeline.reserve_scenes(golden.scenes.size());
-
-  std::vector<ads::PipelineSnapshot> out;
-  out.reserve(scenes.size());
-  bool started = false;
-  for (const std::size_t target : scenes) {
-    assert(target < golden.scene_end_times.size() &&
-           "trunk target scene beyond the golden run");
-    // Deepest golden checkpoint at-or-before the target; restoring it
-    // skips the gap since the previous target when the gap spans it.
-    const ads::PipelineSnapshot* jump = nullptr;
-    for (const auto& ck : golden.checkpoints) {
-      if (ck.scene_index > target) break;
-      jump = &ck;
-    }
-    const bool ahead =
-        jump != nullptr &&
-        (!started || jump->scene_index >= pipeline.scenes().size());
-    if (ahead) {
-      pipeline.restore(*jump);
-      pipeline.preload_scene_prefix(golden.scenes, jump->scene_index + 1);
-      if (started) trunk_restores_metric.add();
-      started = true;
-    }
-    while (pipeline.scenes().size() <= target) {
-      const std::size_t before = pipeline.scenes().size();
-      pipeline.step();
-      if (pipeline.scenes().size() != before) trunk_scenes_metric.add();
-    }
-    started = true;
-    out.push_back(pipeline.snapshot());
-    snapshots_metric.add();
-  }
-  t_scene_scratch = pipeline.release_scenes();
-  return out;
-}
-
-RunResult Experiment::replay_value_fault(
-    const CandidateFault& fault, double hold_seconds,
-    const ads::PipelineSnapshot* fork_override,
-    const SpliceCandidates* extra_splice) const {
+RunResult Experiment::replay_value_fault(const CandidateFault& fault,
+                                         double hold_seconds) const {
   const sim::Scenario& scenario = scenarios_.at(fault.scenario_index);
   const GoldenTrace& golden = goldens_.at(fault.scenario_index);
 
@@ -410,19 +315,14 @@ RunResult Experiment::replay_value_fault(
   pipeline.arm_value_fault(vf);
 
   return run_replay(scenario, golden, pipeline,
-                    fork_override != nullptr
-                        ? fork_override
-                        : golden.checkpoint_before_time(fault.inject_time),
-                    extra_splice);
+                    golden.checkpoint_before_time(fault.inject_time));
 }
 
 RunResult Experiment::replay_bit_fault(std::size_t scenario_index,
                                        const std::string& target,
                                        unsigned bits,
                                        std::uint64_t instruction_index,
-                                       std::uint64_t fault_seed,
-                                       const ads::PipelineSnapshot* fork_override,
-                                       const SpliceCandidates* extra_splice) const {
+                                       std::uint64_t fault_seed) const {
   const sim::Scenario& scenario = scenarios_.at(scenario_index);
   const GoldenTrace& golden = goldens_.at(scenario_index);
 
@@ -443,10 +343,7 @@ RunResult Experiment::replay_bit_fault(std::size_t scenario_index,
   pipeline.arm_bit_fault(bf);
 
   return run_replay(scenario, golden, pipeline,
-                    fork_override != nullptr
-                        ? fork_override
-                        : golden.checkpoint_before_instruction(instruction_index),
-                    extra_splice);
+                    golden.checkpoint_before_instruction(instruction_index));
 }
 
 }  // namespace drivefi::core

@@ -55,36 +55,12 @@ struct ExperimentOptions {
   /// injection but stores one full PipelineSnapshot per scene; larger
   /// strides re-simulate up to stride-1 scenes of prefix per replay and
   /// delay the earliest possible golden-tail splice, but divide checkpoint
-  /// memory by the stride. Forking never changes results -- only cost.
+  /// memory by the stride. Forking never changes results -- only cost;
+  /// full replay (`fork_replays = false`) is the oracle the determinism
+  /// tests compare every stride against.
   bool fork_replays = true;
   std::size_t checkpoint_stride = 4;
-
-  /// Shared-prefix replay tree: campaigns group their runs by scenario,
-  /// one trunk walk per group re-materializes the golden state at every
-  /// divergence scene (restoring golden checkpoints to skip the gaps), and
-  /// each tail forks from its in-memory divergence snapshot instead of the
-  /// stride-aligned golden checkpoint. Tails also splice against the trunk
-  /// snapshots, so reconvergence is detected at divergence-scene
-  /// granularity instead of the checkpoint grid. Strictly a cost knob:
-  /// records, stats, and JSONL stay byte-identical with the tree on or off
-  /// at any thread count (enforced by tests/determinism_test.cpp). Only
-  /// effective when forking is enabled.
-  bool replay_tree = true;
-
-  /// Cap on live in-memory trunk snapshots across all in-flight groups
-  /// (0 = uncapped: the plan's snapshot demand). When a group wants more
-  /// than the remaining budget its shallowest divergence snapshots are
-  /// dropped at admission and those tails fall back to the golden
-  /// checkpoint restore of PR 4 -- slower, never different.
-  std::size_t max_live_snapshots = 0;
 };
-
-/// Extra golden-tail splice candidates for a replay, sorted by scene:
-/// trunk snapshots are bit-exact golden states, so a quiescent replay
-/// whose state matches one at ANY scene may splice the golden tail there
-/// (the stride-aligned checkpoints remain candidates as well).
-using SpliceCandidates =
-    std::vector<std::pair<std::size_t, const ads::PipelineSnapshot*>>;
 
 class Experiment {
  public:
@@ -102,9 +78,6 @@ class Experiment {
   const ExperimentOptions& options() const { return options_; }
   bool forking_enabled() const {
     return options_.fork_replays && options_.checkpoint_stride > 0;
-  }
-  bool tree_enabled() const {
-    return options_.replay_tree && forking_enabled();
   }
 
   double hold_scenes() const { return options_.hold_scenes; }
@@ -135,8 +108,9 @@ class Experiment {
     return spliced_runs_.load(std::memory_order_relaxed);
   }
 
-  /// Execute one campaign: every spec of the model, in parallel, delivered
-  /// to the sinks in run-index order. Returns the aggregate stats.
+  /// Execute one campaign: every spec of the model, replayed in parallel
+  /// on the executor and delivered to the sinks in run-index order.
+  /// Returns the aggregate stats.
   CampaignStats run(const FaultModel& model,
                     const std::vector<ResultSink*>& sinks = {}) const;
 
@@ -171,44 +145,26 @@ class Experiment {
                             const std::vector<ResultSink*>& sinks = {}) const;
 
   /// Execute a single RunSpec and classify it (const, re-entrant; this is
-  /// what campaign workers call). `fork_override` (the replay tree's
-  /// divergence snapshot) replaces the default golden-checkpoint fork when
-  /// non-null; `extra_splice` adds trunk snapshots as golden-tail splice
-  /// candidates. Both are cost-only: they never change the record.
-  InjectionRecord execute(const RunSpec& spec,
-                          const ads::PipelineSnapshot* fork_override = nullptr,
-                          const SpliceCandidates* extra_splice = nullptr) const;
-
-  /// Re-materializes bit-exact golden pipeline states at each of `scenes`
-  /// (sorted ascending) of one scenario: the trunk walk of the replay
-  /// tree. Restores the deepest golden checkpoint before each target scene
-  /// when that skips simulation, otherwise continues stepping from the
-  /// previous target. Snapshot k corresponds to scenes[k].
-  std::vector<ads::PipelineSnapshot> materialize_trunk(
-      std::size_t scenario_index, const std::vector<std::size_t>& scenes) const;
+  /// what campaign workers call).
+  InjectionRecord execute(const RunSpec& spec) const;
 
   /// One-off replays for case studies and tests.
   RunResult replay_value_fault(const CandidateFault& fault,
-                               double hold_seconds,
-                               const ads::PipelineSnapshot* fork_override = nullptr,
-                               const SpliceCandidates* extra_splice = nullptr) const;
+                               double hold_seconds) const;
   RunResult replay_bit_fault(std::size_t scenario_index,
                              const std::string& target, unsigned bits,
                              std::uint64_t instruction_index,
-                             std::uint64_t fault_seed,
-                             const ads::PipelineSnapshot* fork_override = nullptr,
-                             const SpliceCandidates* extra_splice = nullptr) const;
+                             std::uint64_t fault_seed) const;
 
  private:
   /// Shared replay driver: optionally restores `fork_from` (a golden
-  /// checkpoint or a trunk divergence snapshot), simulates the remainder,
-  /// and splices the golden tail as soon as the faulty state reconverges
-  /// bit-exactly. The scene log lives in a recycled per-thread scratch
+  /// checkpoint), simulates the remainder, and splices the golden tail as
+  /// soon as the faulty state reconverges bit-exactly with a later golden
+  /// checkpoint. The scene log lives in a recycled per-thread scratch
   /// buffer and never reallocates.
   RunResult run_replay(const sim::Scenario& scenario, const GoldenTrace& golden,
                        ads::AdsPipeline& pipeline,
-                       const ads::PipelineSnapshot* fork_from,
-                       const SpliceCandidates* extra_splice) const;
+                       const ads::PipelineSnapshot* fork_from) const;
 
   std::vector<sim::Scenario> scenarios_;
   ads::PipelineConfig pipeline_config_;

@@ -1,6 +1,5 @@
 #include "core/trace.h"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -30,25 +29,6 @@ const ads::PipelineSnapshot* GoldenTrace::checkpoint_before_instruction(
     best = &ck;
   }
   return best;
-}
-
-std::size_t GoldenTrace::last_scene_before_time(double inject_time) const {
-  // scene_end_times is strictly increasing; binary-search the first entry
-  // at-or-past the injection and step back one.
-  const auto it = std::lower_bound(scene_end_times.begin(),
-                                   scene_end_times.end(), inject_time);
-  if (it == scene_end_times.begin()) return kNoScene;
-  return static_cast<std::size_t>(it - scene_end_times.begin()) - 1;
-}
-
-std::size_t GoldenTrace::last_scene_before_instruction(
-    std::uint64_t instruction_index) const {
-  // Same strictly-before contract as checkpoint_before_instruction: a scene
-  // whose end already reached the trigger count would skip the injection.
-  const auto it = std::lower_bound(scene_instructions.begin(),
-                                   scene_instructions.end(), instruction_index);
-  if (it == scene_instructions.begin()) return kNoScene;
-  return static_cast<std::size_t>(it - scene_instructions.begin()) - 1;
 }
 
 std::size_t expected_scene_records(double duration,
@@ -84,8 +64,6 @@ GoldenTrace run_golden(const sim::Scenario& scenario,
   trace.checkpoint_stride = checkpoint_stride;
   if (checkpoint_stride > 0)
     trace.checkpoints.reserve(expected / checkpoint_stride + 1);
-  trace.scene_end_times.reserve(expected);
-  trace.scene_instructions.reserve(expected);
 
   const auto total_ticks = static_cast<std::uint64_t>(
       std::llround(scenario.duration * config.base_hz));
@@ -94,11 +72,7 @@ GoldenTrace run_golden(const sim::Scenario& scenario,
     const std::size_t scenes_before = pipeline.scenes().size();
     pipeline.step();
     if (pipeline.scenes().size() == scenes_before) continue;
-    // A scene frame just closed: record where the replay tree may fork
-    // (cheap -- two scalars), and a full checkpoint on the stride grid.
-    trace.scene_end_times.push_back(pipeline.now());
-    trace.scene_instructions.push_back(
-        pipeline.arch_state().instructions_retired());
+    // A scene frame just closed: checkpoint it when it is on the stride grid.
     if (checkpoint_stride > 0 &&
         pipeline.scenes().size() == next_checkpoint_scene + 1) {
       trace.checkpoints.push_back(pipeline.snapshot());

@@ -2,9 +2,10 @@
 /// Bridges ADS scene logs to BN datasets. Golden (fault-free) traces are
 /// the training data for the 3-TBN, exactly as the paper fits its model on
 /// fault-free ADS executions. Golden runs additionally record pipeline
-/// checkpoints at a configurable scene stride; forked replays restore the
-/// nearest checkpoint at-or-before their injection instead of re-simulating
-/// the (bit-identical) prefix.
+/// checkpoints at a configurable scene stride. Forked replays restore the
+/// latest checkpoint strictly before their injection instead of
+/// re-simulating the (bit-identical) prefix, and the checkpoints after it
+/// are the states a reconverged replay splices the golden tail at.
 #pragma once
 
 #include <vector>
@@ -28,27 +29,6 @@ struct GoldenTrace {
   /// their injection but stores a snapshot per scene.
   std::size_t checkpoint_stride = 0;
   std::vector<ads::PipelineSnapshot> checkpoints;
-
-  /// Per-scene bookkeeping for the replay tree: the scheduler time and the
-  /// dynamic instruction count right after the tick that closed scene s.
-  /// scene_end_times[s] equals the .t a PipelineSnapshot captured at scene
-  /// s would carry, so "latest scene strictly before an injection" agrees
-  /// exactly with checkpoint_before_time/checkpoint_before_instruction.
-  /// Two scalars per scene -- recorded even when checkpoints are sparse.
-  std::vector<double> scene_end_times;
-  std::vector<std::uint64_t> scene_instructions;
-
-  /// Sentinel for "no scene qualifies" in the last_scene_before_* queries.
-  static constexpr std::size_t kNoScene = static_cast<std::size_t>(-1);
-
-  /// Latest scene whose end lies strictly before `inject_time` (same
-  /// strictly-before contract as checkpoint_before_time); kNoScene when the
-  /// injection precedes the first scene boundary.
-  std::size_t last_scene_before_time(double inject_time) const;
-  /// Latest scene whose end lies strictly before the dynamic instruction
-  /// trigger of a bit fault; kNoScene when none qualifies.
-  std::size_t last_scene_before_instruction(
-      std::uint64_t instruction_index) const;
 
   /// Latest checkpoint strictly before `inject_time` (value faults apply
   /// from t >= inject_time on; a checkpoint taken at exactly that time

@@ -8,6 +8,7 @@
 // byte-identical to the uninterrupted single-process run. CI runs this
 // suite plain and under ASan/UBSan.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "coord/coordinator.h"
+#include "coord/protocol.h"
 #include "coord/worker.h"
 #include "core/experiment.h"
 #include "core/fault_model.h"
@@ -25,6 +27,7 @@
 #include "core/manifest.h"
 #include "core/result_store.h"
 #include "net/chaos.h"
+#include "net/socket.h"
 #include "obs/metrics.h"
 
 namespace drivefi::core {
@@ -337,6 +340,60 @@ TEST(Chaos, MultiFailureStormStillMergesBitIdenticalAndCountsFaults) {
                 .snapshot()
                 .count,
             0u);
+}
+
+TEST(Chaos, WorkerHonoursCompleteQueuedBehindAConnectionReset) {
+  // A coordinator that stores the campaign's last record sends `complete`
+  // and hangs up. When it hangs up with a worker's frames unread (say, a
+  // duplicate of a stolen lease), the kernel resets the connection, so
+  // that worker's next send fails with the verdict still queued on its
+  // socket. Scripted here with a stand-in coordinator that grants a lease,
+  // sends `complete`, resets the connection before the worker streams its
+  // first record, and then stops serving (listening, never answering):
+  // the worker must read the queued `complete` and finish, not spool and
+  // spend its reconnect budget on a coordinator that is gone.
+  const Experiment experiment = make_experiment(1);
+  const RandomValueModel model(3, 77);
+  net::TcpListener listener("127.0.0.1", 0);
+
+  std::thread coordinator([&] {
+    std::optional<net::TcpSocket> socket = listener.accept(30.0);
+    ASSERT_TRUE(socket.has_value());
+    net::MessageConnection conn(std::move(*socket));
+    std::string line;
+    ASSERT_EQ(conn.recv_line(&line, 30.0), net::RecvStatus::kMessage);
+    ASSERT_EQ(coord::message_type(line), "hello");
+    coord::WelcomeMsg welcome;
+    welcome.planned_runs = model.run_count();
+    welcome.heartbeat_timeout = 60.0;  // no heartbeats in this exchange
+    conn.send_line(coord::encode(welcome));
+    ASSERT_EQ(conn.recv_line(&line, 30.0), net::RecvStatus::kMessage);
+    ASSERT_EQ(coord::message_type(line), "lease_request");
+    coord::LeaseMsg lease;
+    lease.lease_id = 1;
+    lease.run_indices = {0, 1, 2};
+    conn.send_line(coord::encode(lease));
+    conn.send_line(coord::encode(coord::CompleteMsg{}));
+    // Zero linger: close() resets the connection, as a close with unread
+    // frames does.
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(conn.socket().fd(), SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
+              0);
+  });
+
+  coord::WorkerConfig config =
+      chaos_worker_config("reset", listener.port(), nullptr);
+  config.io_timeout = 0.5;
+  config.reconnect_max_attempts = 2;
+  coord::WorkerClient worker(experiment, model, "test", config);
+  const coord::WorkerStats stats = worker.run();
+  coordinator.join();
+
+  EXPECT_FALSE(stats.gave_up);
+  EXPECT_FALSE(stats.aborted);
+  EXPECT_EQ(stats.reconnects, 0u);
+  EXPECT_EQ(stats.runs_executed, 1u);  // the verdict ends the lease
 }
 
 }  // namespace

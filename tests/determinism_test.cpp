@@ -6,9 +6,11 @@
 // nothing about scheduling may leak into the results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -147,19 +149,49 @@ TEST(Determinism, BayesianSelectionIdenticalAcrossThreadCounts) {
                       catalog, experiment.goldens(), odd)));
 }
 
-Experiment make_experiment_forked(unsigned threads, std::size_t stride) {
+std::vector<sim::Scenario> three_scenario_suite() {
+  const auto all = sim::base_suite();
+  return {all.begin(), all.begin() + 3};
+}
+
+Experiment make_experiment_forked(
+    unsigned threads, std::size_t stride,
+    std::vector<sim::Scenario> suite = one_scenario_suite()) {
   ExperimentOptions options;
   options.executor.threads = threads;
   options.fork_replays = true;
   options.checkpoint_stride = stride;
-  return Experiment(one_scenario_suite(), test_pipeline_config(), {}, options);
+  return Experiment(std::move(suite), test_pipeline_config(), {}, options);
 }
 
-Experiment make_experiment_full(unsigned threads) {
+Experiment make_experiment_full(
+    unsigned threads, std::vector<sim::Scenario> suite = one_scenario_suite()) {
   ExperimentOptions options;
   options.executor.threads = threads;
   options.fork_replays = false;
-  return Experiment(one_scenario_suite(), test_pipeline_config(), {}, options);
+  return Experiment(std::move(suite), test_pipeline_config(), {}, options);
+}
+
+// A shuffled, non-contiguous subset of [0, run_count): the shape of a fleet
+// lease re-granted after a worker died, which run_indices must deliver in
+// ascending order whatever order it arrives in.
+std::vector<std::size_t> shuffled_lease(std::size_t run_count) {
+  std::vector<std::size_t> lease;
+  for (std::size_t r = 0; r < run_count; ++r)
+    if (r % 3 != 1) lease.push_back(r);
+  std::mt19937 rng(5);
+  std::shuffle(lease.begin(), lease.end(), rng);
+  return lease;
+}
+
+// Fingerprint of the records at `indices` of a whole campaign, accumulated
+// in ascending run-index order as run_indices delivers them.
+std::string lease_fingerprint(const CampaignStats& campaign,
+                              std::vector<std::size_t> indices) {
+  std::sort(indices.begin(), indices.end());
+  CampaignStats lease;
+  for (const std::size_t r : indices) lease.add(campaign.records.at(r));
+  return fingerprint(lease);
 }
 
 TEST(Determinism, ForkedReplayBitIdenticalToFullReplay) {
@@ -167,25 +199,59 @@ TEST(Determinism, ForkedReplayBitIdenticalToFullReplay) {
   // golden-tail splicing change COST only, never results. CampaignStats
   // must be bit-identical with forking on or off, at every checkpoint
   // stride and thread count, for randomized faults over random injection
-  // times (value campaign) and instruction indices (bit-flip campaign).
-  const RandomValueModel values(8, 2024);
-  const BitFlipModel bitflips(6, 99, /*bits=*/2);
+  // times (value campaign) and instruction indices (bit-flip campaign), on
+  // a one-scenario and a three-scenario suite. A shuffled lease through
+  // run_indices (the fleet-worker path) must reproduce exactly the same
+  // indices of the full-replay campaign.
+  struct Input {
+    std::vector<sim::Scenario> suite;
+    RandomValueModel values;
+    BitFlipModel bitflips;
+  };
+  const Input inputs[] = {
+      {one_scenario_suite(), RandomValueModel(8, 2024),
+       BitFlipModel(6, 99, /*bits=*/2)},
+      {three_scenario_suite(), RandomValueModel(18, 2024),
+       BitFlipModel(12, 99, /*bits=*/2)},
+  };
 
-  const Experiment full = make_experiment_full(1);
-  const std::string value_base = fingerprint(full.run(values));
-  const std::string bit_base = fingerprint(full.run(bitflips));
+  for (const Input& input : inputs) {
+    const Experiment full = make_experiment_full(1, input.suite);
+    const CampaignStats value_campaign = full.run(input.values);
+    const CampaignStats bit_campaign = full.run(input.bitflips);
+    const std::string value_base = fingerprint(value_campaign);
+    const std::string bit_base = fingerprint(bit_campaign);
+    const auto value_lease = shuffled_lease(input.values.run_count());
+    const auto bit_lease = shuffled_lease(input.bitflips.run_count());
+    const std::string value_lease_base =
+        lease_fingerprint(value_campaign, value_lease);
+    const std::string bit_lease_base =
+        lease_fingerprint(bit_campaign, bit_lease);
 
-  for (const std::size_t stride : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{16}}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      const Experiment forked = make_experiment_forked(threads, stride);
-      EXPECT_EQ(value_base, fingerprint(forked.run(values)))
-          << "value campaign diverged at stride " << stride << ", "
-          << threads << " threads";
-      EXPECT_EQ(bit_base, fingerprint(forked.run(bitflips)))
-          << "bit-flip campaign diverged at stride " << stride << ", "
-          << threads << " threads";
-      EXPECT_GT(forked.forked_runs_executed(), 0u);
+    for (const std::size_t stride : {std::size_t{1}, std::size_t{4},
+                                     std::size_t{16}}) {
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        const Experiment forked =
+            make_experiment_forked(threads, stride, input.suite);
+        const auto where = [&] {
+          return " at stride " + std::to_string(stride) + ", " +
+                 std::to_string(threads) + " threads, " +
+                 std::to_string(input.suite.size()) + " scenarios";
+        };
+        EXPECT_EQ(value_base, fingerprint(forked.run(input.values)))
+            << "value campaign diverged" << where();
+        EXPECT_EQ(bit_base, fingerprint(forked.run(input.bitflips)))
+            << "bit-flip campaign diverged" << where();
+        EXPECT_EQ(value_lease_base,
+                  fingerprint(forked.run_indices(input.values, value_lease,
+                                                 nullptr)))
+            << "value lease diverged" << where();
+        EXPECT_EQ(bit_lease_base,
+                  fingerprint(forked.run_indices(input.bitflips, bit_lease,
+                                                 nullptr)))
+            << "bit-flip lease diverged" << where();
+        EXPECT_GT(forked.forked_runs_executed(), 0u);
+      }
     }
   }
 }
@@ -194,67 +260,45 @@ TEST(Determinism, ForkedReplayBitIdenticalToFullReplay) {
 // deterministic JSONL payload before byte comparisons.
 
 TEST(Determinism, ForkedJsonlByteEqualToFullJsonl) {
-  const RandomValueModel model(8, 77);
-
-  const auto jsonl_of = [&](const Experiment& experiment) {
+  // Byte-level twin of the sweep above: the canonical JSONL of a whole
+  // campaign and of a shuffled lease through run_indices, for a value
+  // campaign on one scenario and a bit-flip campaign on three.
+  const auto jsonl_of = [](const Experiment& experiment,
+                           const FaultModel& model,
+                           const std::vector<std::size_t>* lease) {
     std::ostringstream out;
     JsonlSink sink(out);
     std::vector<ResultSink*> sinks = {&sink};
-    experiment.run(model, sinks);
+    if (lease != nullptr)
+      experiment.run_indices(model, *lease, nullptr, sinks);
+    else
+      experiment.run(model, sinks);
     return scrub_wall_seconds(out.str());
   };
 
-  const std::string base = jsonl_of(make_experiment_full(1));
-  EXPECT_FALSE(base.empty());
-  for (const std::size_t stride : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{16}}) {
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(base, jsonl_of(make_experiment_forked(threads, stride)))
-          << "JSONL diverged at stride " << stride << ", " << threads
-          << " threads";
-    }
-  }
-}
-
-TEST(Determinism, ReplayTreeBitIdenticalToFlatForkPath) {
-  // The replay-tree contract: trunk materialization, fork-at-divergence,
-  // densified splice candidates, and subtree scheduling change COST only.
-  // Fingerprints AND canonical JSONL must be byte-equal with the tree on
-  // or off, at every stride and thread count, over a multi-scenario suite
-  // (several groups, so trunks and tails genuinely interleave).
-  const auto all = sim::base_suite();
-  const std::vector<sim::Scenario> suite(all.begin(), all.begin() + 3);
-  const RandomValueModel values(18, 2024);
+  const RandomValueModel values(8, 77);
   const BitFlipModel bitflips(12, 99, /*bits=*/2);
-
-  const auto campaign = [&](bool tree, unsigned threads, std::size_t stride,
-                            const FaultModel& model) {
-    ExperimentOptions options;
-    options.executor.threads = threads;
-    options.checkpoint_stride = stride;
-    options.replay_tree = tree;
-    const Experiment experiment(suite, test_pipeline_config(), {}, options);
-    std::ostringstream out;
-    JsonlSink sink(out);
-    std::vector<ResultSink*> sinks = {&sink};
-    const CampaignStats stats = experiment.run(model, sinks);
-    return std::pair<std::string, std::string>(
-        fingerprint(stats), scrub_wall_seconds(out.str()));
+  const std::pair<std::vector<sim::Scenario>, const FaultModel*> inputs[] = {
+      {one_scenario_suite(), &values},
+      {three_scenario_suite(), &bitflips},
   };
 
-  for (const FaultModel* model :
-       {static_cast<const FaultModel*>(&values),
-        static_cast<const FaultModel*>(&bitflips)}) {
-    const auto base = campaign(false, 1, 4, *model);
-    for (const std::size_t stride : {std::size_t{1}, std::size_t{4}}) {
+  for (const auto& [suite, model] : inputs) {
+    const Experiment full = make_experiment_full(1, suite);
+    const auto lease = shuffled_lease(model->run_count());
+    const std::string base = jsonl_of(full, *model, nullptr);
+    const std::string lease_base = jsonl_of(full, *model, &lease);
+    EXPECT_FALSE(base.empty());
+    for (const std::size_t stride : {std::size_t{1}, std::size_t{4},
+                                     std::size_t{16}}) {
       for (const unsigned threads : {1u, 2u, 8u}) {
-        const auto tree = campaign(true, threads, stride, *model);
-        EXPECT_EQ(base.first, tree.first)
-            << "stats diverged with the tree at stride " << stride << ", "
+        const Experiment forked = make_experiment_forked(threads, stride, suite);
+        EXPECT_EQ(base, jsonl_of(forked, *model, nullptr))
+            << model->name() << " JSONL diverged at stride " << stride << ", "
             << threads << " threads";
-        EXPECT_EQ(base.second, tree.second)
-            << "JSONL diverged with the tree at stride " << stride << ", "
-            << threads << " threads";
+        EXPECT_EQ(lease_base, jsonl_of(forked, *model, &lease))
+            << model->name() << " lease JSONL diverged at stride " << stride
+            << ", " << threads << " threads";
       }
     }
   }
