@@ -6,13 +6,8 @@
 //   drivefi_campaign run [campaign options] [run options]
 //     (campaign options: see campaign_cli.h / docs/FORMATS.md)
 //     --shard i/N          run only indices {r : r % N == i} (default 0/1)
-//     --store FILE         shard store path (default campaign.shard<i>.jsonl,
-//                          or .bin with --store-format binary)
-//     --store-format F     durable store container: jsonl (default) or
-//                          binary (compact indexed frames; see
-//                          docs/FORMATS.md "Binary record store"). Format
-//                          is provenance, not compatibility: shards of
-//                          either format merge bit-identically.
+//     --store FILE         JSONL shard store path (default
+//                          campaign.shard<i>.jsonl; see docs/FORMATS.md)
 //     --resume             continue a crashed/partial store instead of
 //                          starting over (refuses a mismatched manifest)
 //     --overwrite          explicitly discard an existing store; without it
@@ -30,7 +25,6 @@
 //
 //   drivefi_campaign worker --connect HOST:PORT [campaign options]
 //     --store FILE         local scratch store (default <name>.local.jsonl)
-//     --store-format F     local scratch store container, jsonl | binary
 //     --name NAME          worker display name (default worker-<pid>)
 //     --reconnect-max-attempts N  consecutive failed (re)connects before
 //                          the worker gives up (default 20)
@@ -47,14 +41,10 @@
 //     jitter, and respools its records on re-hello (duplicates are no-ops
 //     by determinism). Only an explicit protocol refusal is fatal.
 //
-//   drivefi_campaign merge --jsonl OUT.jsonl SHARD... [--store OUT --store-format F]
+//   drivefi_campaign merge --jsonl OUT.jsonl SHARD...
 //     Validates the shard set (same campaign, no duplicates, complete
 //     coverage), writes the canonical campaign JSONL -- byte-identical to
-//     the single-process run -- and prints the outcome table. Shards may
-//     be jsonl, binary, or a mixture (each file's own magic bytes decide);
-//     --store re-exports the merged campaign as a single 0/1-shard store
-//     in --store-format (e.g. to compact a JSONL shard set into one
-//     indexed binary store for drivefi_query).
+//     the single-process run -- and prints the outcome table.
 //
 //   drivefi_campaign status --connect HOST:PORT [--json]
 //     Asks a running drivefi_campaignd for its status (no campaign options
@@ -110,7 +100,6 @@ namespace {
 int cmd_run(int argc, char** argv) {
   campaign_cli::CampaignArgs args;
   std::string store_path;
-  core::StoreFormat store_format = core::StoreFormat::kJsonl;
   std::string metrics_out, trace_out;
   double metrics_interval = 1.0;
   std::size_t shard_index = 0, shard_count = 1;
@@ -129,8 +118,6 @@ int cmd_run(int argc, char** argv) {
     };
     if (campaign_cli::parse_campaign_flag(args, arg, next)) continue;
     if (arg == "--store") store_path = next();
-    else if (arg == "--store-format")
-      store_format = core::parse_store_format(next());
     else if (arg == "--resume") resume = true;
     else if (arg == "--overwrite") overwrite = true;
     else if (arg == "--progress") progress = true;
@@ -163,9 +150,7 @@ int cmd_run(int argc, char** argv) {
     return 2;
   }
   if (store_path.empty())
-    store_path =
-        "campaign.shard" + std::to_string(shard_index) +
-        (store_format == core::StoreFormat::kBinary ? ".bin" : ".jsonl");
+    store_path = "campaign.shard" + std::to_string(shard_index) + ".jsonl";
   // Pre-flight the clobber refusal BEFORE the golden precompute (and, for
   // --model bayesian, the fit + selection): a forgotten --resume should
   // fail in milliseconds, not after minutes of wasted campaign setup. The
@@ -197,21 +182,14 @@ int cmd_run(int argc, char** argv) {
   const core::StoreOpenMode mode = resume ? core::StoreOpenMode::kResume
                                  : overwrite ? core::StoreOpenMode::kOverwrite
                                              : core::StoreOpenMode::kFresh;
-  // A resume follows the format the store was actually written in -- the
-  // file's own magic bytes outrank the flag, so a forgotten --store-format
-  // can never strand durable records behind a format error.
-  if (resume) store_format = core::detect_store_format(store_path, store_format);
-  const std::unique_ptr<core::ShardStore> store_ptr =
-      core::open_shard_store(store_path, manifest, store_format, mode);
-  core::ShardStore& store = *store_ptr;
+  core::ShardResultStore store(store_path, manifest, mode);
   const std::size_t already = store.completed().size();
   if (resume && already > 0)
     std::printf("resuming %s: %zu of this shard's runs already stored\n",
                 store_path.c_str(), already);
 
-  std::printf("shard %zu/%zu of %zu planned runs -> %s (%s)\n", shard_index,
-              shard_count, manifest.planned_runs, store_path.c_str(),
-              core::store_format_name(store_format));
+  std::printf("shard %zu/%zu of %zu planned runs -> %s\n", shard_index,
+              shard_count, manifest.planned_runs, store_path.c_str());
   core::ProgressSink progress_sink(std::cerr);
   std::vector<core::ResultSink*> sinks;
   if (progress) sinks.push_back(&progress_sink);
@@ -263,8 +241,6 @@ int cmd_worker(int argc, char** argv) {
       campaign_cli::parse_host_port(arg, next(), &config.host, &config.port);
       have_connect = true;
     } else if (arg == "--store") config.store_path = next();
-    else if (arg == "--store-format")
-      config.store_format = core::parse_store_format(next());
     else if (arg == "--name") config.name = next();
     else if (arg == "--reconnect-max-attempts")
       config.reconnect_max_attempts = campaign_cli::parse_u64_flag(arg, next());
@@ -384,8 +360,6 @@ int cmd_status(int argc, char** argv) {
 
 int cmd_merge(int argc, char** argv) {
   std::string jsonl_path;
-  std::string store_path;
-  core::StoreFormat store_format = core::StoreFormat::kJsonl;
   std::vector<std::string> shard_paths;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -396,11 +370,14 @@ int cmd_merge(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--jsonl") jsonl_path = next();
-    else if (arg == "--store") store_path = next();
-    else if (arg == "--store-format")
-      store_format = core::parse_store_format(next());
-    else shard_paths.push_back(arg);
+    if (arg == "--jsonl") {
+      jsonl_path = next();
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
+      return 2;
+    } else {
+      shard_paths.push_back(arg);
+    }
   }
   if (shard_paths.empty()) {
     std::fprintf(stderr, "error: merge needs at least one shard file\n");
@@ -422,18 +399,6 @@ int cmd_merge(int argc, char** argv) {
     }
     core::write_merged_jsonl(merged, out);
     std::printf("wrote canonical campaign JSONL to %s\n", jsonl_path.c_str());
-  }
-  if (!store_path.empty()) {
-    // Re-export the merged campaign as one 0/1-shard store (any format):
-    // the compaction path from a JSONL shard set to an indexed binary
-    // store, and vice versa.
-    const std::unique_ptr<core::ShardStore> store = core::open_shard_store(
-        store_path, merged.manifest, store_format,
-        core::StoreOpenMode::kOverwrite);
-    for (const core::InjectionRecord& record : merged.stats.records)
-      store->append(record);
-    std::printf("wrote merged %s store to %s\n",
-                core::store_format_name(store_format), store_path.c_str());
   }
   return 0;
 }

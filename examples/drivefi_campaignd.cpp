@@ -10,10 +10,8 @@
 //     (campaign options: see campaign_cli.h -- MUST match the workers')
 //     --listen HOST:PORT   bind address (default 127.0.0.1:0 = ephemeral)
 //     --port-file FILE     write the bound port (scripts + ephemeral ports)
-//     --store FILE         master store path (default campaign.master.jsonl,
-//                          or .bin with --store-format binary)
-//     --store-format F     master store container: jsonl (default) or
-//                          binary (docs/FORMATS.md "Binary record store")
+//     --store FILE         JSONL master store path (default
+//                          campaign.master.jsonl)
 //     --resume             continue an interrupted campaign's master store.
 //                          This is the crash-recovery path: after a kill -9
 //                          the daemon rebuilds all state from the store
@@ -42,7 +40,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include "campaign_cli.h"
@@ -59,7 +56,6 @@ int main(int argc, char** argv) {
   campaign_cli::CampaignArgs args;
   coord::CoordinatorConfig config;
   std::string store_path;
-  core::StoreFormat store_format = core::StoreFormat::kJsonl;
   std::string port_file, jsonl_path, trace_out;
   bool resume = false, overwrite = false, quiet = false;
 
@@ -77,8 +73,6 @@ int main(int argc, char** argv) {
       campaign_cli::parse_host_port(arg, next(), &config.host, &config.port);
     else if (arg == "--port-file") port_file = next();
     else if (arg == "--store") store_path = next();
-    else if (arg == "--store-format")
-      store_format = core::parse_store_format(next());
     else if (arg == "--resume") resume = true;
     else if (arg == "--overwrite") overwrite = true;
     else if (arg == "--lease-runs")
@@ -102,10 +96,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.print_progress = !quiet;
-  if (store_path.empty())
-    store_path = store_format == core::StoreFormat::kBinary
-                     ? "campaign.master.bin"
-                     : "campaign.master.jsonl";
+  if (store_path.empty()) store_path = "campaign.master.jsonl";
 
   try {
     if (!trace_out.empty()) obs::start_tracing(trace_out);
@@ -130,11 +121,7 @@ int main(int argc, char** argv) {
         resume ? core::StoreOpenMode::kResume
                : overwrite ? core::StoreOpenMode::kOverwrite
                            : core::StoreOpenMode::kFresh;
-    if (resume)
-      store_format = core::detect_store_format(store_path, store_format);
-    const std::unique_ptr<core::ShardStore> store_ptr =
-        core::open_shard_store(store_path, manifest, store_format, mode);
-    core::ShardStore& store = *store_ptr;
+    core::ShardResultStore store(store_path, manifest, mode);
     if (resume && !store.completed().empty() && !quiet)
       std::printf("resuming %s: %zu of %zu runs already stored\n",
                   store_path.c_str(), store.completed().size(),

@@ -1,8 +1,7 @@
 // drivefi_query: offline analytics over durable campaign stores -- no
-// re-execution, no coordinator, just the files. Stores may be JSONL or
-// binary (or a mixture); each file's own magic bytes decide how it is
-// read, and partial campaigns (in-flight, or a single shard) are fair
-// game for everything except export.
+// re-execution, no coordinator, just the JSONL shard files. Every command
+// loads the given stores in full first; partial campaigns (in-flight, or
+// a single shard) are fair game for everything except export.
 //
 //   drivefi_query summary STORE [STORE ...]
 //     Outcome counts and order statistics (min/mean/p50/p90/p99/max) of
@@ -13,9 +12,9 @@
 //     scenes, and the worst min_delta_lon seen in each scenario.
 //
 //   drivefi_query get --run N STORE [STORE ...]
-//     Prints the single record with run_index N as canonical run JSONL
-//     (byte-identical to the line a JSONL store would hold). Exits 1 when
-//     the loaded stores do not contain N.
+//     Loads the stores, then prints the single record with run_index N as
+//     canonical run JSONL (byte-identical to the line the store holds).
+//     Exits 1 when the loaded stores do not contain N.
 //
 //   drivefi_query diff STORE_A STORE_B
 //     Run-by-run comparison of two campaigns over the SAME fault set
@@ -49,8 +48,8 @@ namespace {
                "usage: %s summary STORE... | %s scenarios STORE... |\n"
                "       %s get --run N STORE... | %s diff STORE_A STORE_B |\n"
                "       %s export --jsonl OUT STORE...\n"
-               "(stores may be jsonl or binary, mixed freely; see the header\n"
-               " of examples/drivefi_query.cpp or docs/FORMATS.md)\n",
+               "(STORE is a JSONL shard store; see the header of\n"
+               " examples/drivefi_query.cpp or docs/FORMATS.md)\n",
                argv0, argv0, argv0, argv0, argv0);
   std::exit(2);
 }

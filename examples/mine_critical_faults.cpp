@@ -19,11 +19,12 @@
 // (examples/drivefi_campaign.cpp) -- it subsumes every flag above.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
+#include "campaign_cli.h"
 #include "core/bayes_model.h"
 #include "core/experiment.h"
 #include "core/fault_model.h"
@@ -55,13 +56,15 @@ int main(int argc, char** argv) {
     else if (arg == "--load-bn") load_bn = next();
     else if (arg == "--save-bn") save_bn = next();
     else if (arg == "--jsonl") jsonl_path = next();
-    else if (arg == "--threads") threads = static_cast<unsigned>(std::atoi(next()));
+    else if (arg == "--threads")
+      threads = static_cast<unsigned>(campaign_cli::parse_u64_flag(
+          arg, next(), std::numeric_limits<unsigned>::max()));
     else if (arg == "--fork") fork_replays = true;
     else if (arg == "--no-fork") fork_replays = false;
     else if (arg == "--checkpoint-stride")
-      checkpoint_stride = static_cast<std::size_t>(std::atoi(next()));
-    else if (positional == 0) { n_scenarios = static_cast<std::size_t>(std::atoi(arg.c_str())); ++positional; }
-    else if (positional == 1) { n_replay = static_cast<std::size_t>(std::atoi(arg.c_str())); ++positional; }
+      checkpoint_stride = campaign_cli::parse_u64_flag(arg, next());
+    else if (positional == 0) { n_scenarios = campaign_cli::parse_u64_flag("n_scenarios", arg); ++positional; }
+    else if (positional == 1) { n_replay = campaign_cli::parse_u64_flag("n_replay", arg); ++positional; }
     else { std::fprintf(stderr, "error: unexpected argument %s\n", arg.c_str()); return 2; }
   }
 

@@ -11,10 +11,9 @@
 // `drivefi_campaign run --model random-value|random-bitflip|bayesian ...`
 // (examples/drivefi_campaign.cpp).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "campaign_cli.h"
 #include "core/bayes_model.h"
 #include "core/experiment.h"
 #include "core/fault_model.h"
@@ -39,10 +38,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --checkpoint-stride needs a value\n");
         return 2;
       }
-      checkpoint_stride = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (!arg.empty() && arg.find_first_not_of("0123456789") ==
-                                   std::string::npos) {
-      budget = static_cast<std::size_t>(std::atoi(arg.c_str()));
+      checkpoint_stride = campaign_cli::parse_u64_flag(arg, argv[++i]);
+    } else if (arg.rfind("--", 0) != 0) {
+      budget = campaign_cli::parse_u64_flag("budget", arg);
     } else {
       std::fprintf(stderr, "error: unexpected argument %s\n", arg.c_str());
       return 2;

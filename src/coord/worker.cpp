@@ -168,18 +168,14 @@ WorkerClient::WorkerClient(const core::Experiment& experiment,
   if (config_.name.empty())
     config_.name = "worker-" + std::to_string(::getpid());
   if (config_.store_path.empty())
-    config_.store_path =
-        config_.name + (config_.store_format == core::StoreFormat::kBinary
-                            ? ".local.bin"
-                            : ".local.jsonl");
+    config_.store_path = config_.name + ".local.jsonl";
   if (config_.threads == 0)
     config_.threads = static_cast<unsigned>(
         core::resolve_thread_count(experiment.options().executor.threads));
 
   manifest_ = core::make_manifest(experiment, model, std::move(scenario_spec));
-  store_ = core::open_shard_store(config_.store_path, manifest_,
-                                 config_.store_format,
-                                 core::StoreOpenMode::kOverwrite);
+  store_ = std::make_unique<core::ShardResultStore>(
+      config_.store_path, manifest_, core::StoreOpenMode::kOverwrite);
 }
 
 WorkerClient::~WorkerClient() = default;

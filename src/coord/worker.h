@@ -40,14 +40,11 @@ struct WorkerConfig {
   std::uint16_t port = 0;
   /// Stable display name; empty = "worker-<pid>".
   std::string name;
-  /// Local scratch store path; empty = "<name>.local.<format ext>".
+  /// Local scratch store path; empty = "<name>.local.jsonl".
   /// Opened with kOverwrite -- the local store is per-sitting durability,
   /// not campaign truth, so clobbering a previous sitting's scratch is
   /// correct.
   std::string store_path;
-  /// On-disk format of the local scratch store. Pure provenance: the
-  /// records respooled to the coordinator are identical either way.
-  core::StoreFormat store_format = core::StoreFormat::kJsonl;
   /// Executor threads, for the hello message only (the Experiment's own
   /// ExecutorConfig governs actual parallelism); 0 = resolve from it.
   unsigned threads = 0;
@@ -119,7 +116,7 @@ class WorkerClient {
   const core::FaultModel& model_;
   WorkerConfig config_;
   core::CampaignManifest manifest_;
-  std::unique_ptr<core::ShardStore> store_;
+  std::unique_ptr<core::ShardResultStore> store_;
 };
 
 }  // namespace drivefi::coord

@@ -1,7 +1,10 @@
 #include "core/jsonl.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace drivefi::core {
@@ -93,14 +96,17 @@ double parse_double_strict(const std::string& text,
                            const std::string& context) {
   if (text.empty() || text.front() == '"')
     bad(context + " is not a number: " + text);
-  std::size_t used = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(text, &used);
-  } catch (const std::exception&) {
+  // std::strtod rather than std::stod: stod throws on ANY ERANGE, which
+  // rejects the subnormals our writers emit (4.9406564584124654e-324). On
+  // underflow strtod already returns the correctly rounded value, so only
+  // overflow (an infinite result with ERANGE) is out of range.
+  errno = 0;
+  char* end = nullptr;
+  const double out = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || (errno == ERANGE && std::isinf(out)))
     bad(context + " is not a number: " + text);
-  }
-  if (used != text.size()) bad(context + " has trailing bytes: " + text);
+  if (end != text.c_str() + text.size())
+    bad(context + " has trailing bytes: " + text);
   return out;
 }
 

@@ -42,8 +42,9 @@ std::string scrub_wall_seconds(std::string jsonl);
 std::uint64_t parse_u64_strict(const std::string& text,
                                const std::string& context);
 /// parse_double_strict accepts what our writers emit: decimal literals
-/// (std::stod grammar, which includes `nan`/`inf` spellings), never a
-/// quoted string, never trailing bytes.
+/// (std::strtod grammar, which includes `nan`/`inf` spellings, subnormals
+/// included), never a quoted string, never trailing bytes, never a
+/// literal that overflows to infinity.
 double parse_double_strict(const std::string& text,
                            const std::string& context);
 /// parse_bool_strict accepts exactly `true` or `false`.

@@ -1,8 +1,7 @@
 /// \file
 /// Campaign analytics over durable stores: load one campaign from any set
-/// of shard files (either on-disk format, mixed freely -- read_shard
-/// dispatches on each file's own magic bytes), then aggregate, look up,
-/// and diff without re-running anything. Unlike merge_shards, loading
+/// of JSONL shard files (read_shard), then aggregate, look up, and diff
+/// without re-running anything. Unlike merge_shards, loading
 /// does NOT require a complete shard set: a campaign still in flight (or
 /// a single shard of one) is queryable, so the coverage invariants here
 /// are compatibility + no duplicates, never completeness. This is the
@@ -94,7 +93,8 @@ struct ScenarioRow {
 /// scenarios with at least one record appear.
 std::vector<ScenarioRow> scenario_table(const CampaignView& view);
 
-/// O(log n) point lookup. Returns false when the view has no such run.
+/// O(log n) point lookup in an already loaded view (the load itself reads
+/// every record). Returns false when the view has no such run.
 bool lookup_run(const CampaignView& view, std::size_t run_index,
                 InjectionRecord* record);
 

@@ -5,7 +5,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "core/binary_store.h"
 #include "core/jsonl.h"
 #include "core/result_sink.h"
 #include "obs/metrics.h"
@@ -67,17 +66,25 @@ std::size_t complete_lines(const std::string& text,
   }
 }
 
-std::string read_file(const std::string& path) {
+// Reads a whole store file. Every store opens with its manifest line, so
+// a non-empty file whose first byte is not '{' is something else (a
+// foreign or truncated-to-garbage file): refuse it before anything counts
+// its newlines as records or truncates it.
+std::string read_store_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) fail("cannot open " + path);
   std::ostringstream content;
   content << in.rdbuf();
   if (in.bad()) fail("read error on " + path);
-  return content.str();
+  std::string text = content.str();
+  if (!text.empty() && text.front() != '{')
+    fail(path + ": not a JSONL store (first byte is not '{'); refusing to "
+         "read or overwrite it");
+  return text;
 }
 
-}  // namespace
-
+// Validates that a record belongs to the shard its file claims to hold
+// (run_index inside the campaign AND in the shard's residue class).
 void check_record_membership(const InjectionRecord& record,
                              const CampaignManifest& manifest,
                              const std::string& path) {
@@ -91,39 +98,12 @@ void check_record_membership(const InjectionRecord& record,
          "/" + std::to_string(manifest.shard_count));
 }
 
-StoreFormat parse_store_format(const std::string& name) {
-  if (name == "jsonl") return StoreFormat::kJsonl;
-  if (name == "binary") return StoreFormat::kBinary;
-  fail("unknown store format \"" + name + "\" (expected jsonl or binary)");
-}
-
-const char* store_format_name(StoreFormat format) {
-  return format == StoreFormat::kBinary ? "binary" : "jsonl";
-}
-
-StoreFormat detect_store_format(const std::string& path, StoreFormat fallback) {
-  if (!std::filesystem::exists(path)) return fallback;
-  if (is_binary_store(path)) return StoreFormat::kBinary;
-  std::ifstream in(path, std::ios::binary);
-  char first = 0;
-  if (!in.get(first)) return fallback;  // empty file
-  return StoreFormat::kJsonl;
-}
-
-std::unique_ptr<ShardStore> open_shard_store(const std::string& path,
-                                             const CampaignManifest& manifest,
-                                             StoreFormat format,
-                                             StoreOpenMode mode) {
-  if (format == StoreFormat::kBinary)
-    return std::make_unique<BinaryShardStore>(path, manifest, mode);
-  return std::make_unique<ShardResultStore>(path, manifest, mode);
-}
+}  // namespace
 
 std::size_t stored_record_count(const std::string& path) {
   if (!std::filesystem::exists(path)) return 0;
-  if (is_binary_store(path)) return binary_stored_record_count(path);
   std::vector<std::string> lines;
-  complete_lines(read_file(path), &lines);
+  complete_lines(read_store_file(path), &lines);
   return lines.size() <= 1 ? 0 : lines.size() - 1;
 }
 
@@ -149,11 +129,7 @@ ShardResultStore::ShardResultStore(std::string path,
 
   const bool exists = mode == StoreOpenMode::kResume && fs::exists(path_);
   if (exists) {
-    if (is_binary_store(path_))
-      fail(path_ +
-           ": existing file is a binary store (resume it with the format it "
-           "was written in, or delete it)");
-    const std::string text = read_file(path_);
+    const std::string text = read_store_file(path_);
     std::vector<std::string> lines;
     const std::size_t valid_end = complete_lines(text, &lines);
 
@@ -222,8 +198,7 @@ void ShardResultStore::append(const InjectionRecord& record) {
 }
 
 ShardContent read_shard(const std::string& path) {
-  if (is_binary_store(path)) return read_binary_shard(path);
-  const std::string text = read_file(path);
+  const std::string text = read_store_file(path);
   std::vector<std::string> lines;
   complete_lines(text, &lines);
   if (lines.empty()) fail(path + ": no manifest line (empty or torn store)");

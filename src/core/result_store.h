@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <fstream>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -49,40 +48,10 @@ enum class StoreOpenMode {
   kOverwrite,
 };
 
-/// The two durable record formats. Format is PROVENANCE, not
-/// compatibility: which container a shard was written into can never
-/// change its records, so jsonl and binary shards of one campaign merge
-/// bit-identically (read_shard dispatches on the file's own magic bytes,
-/// never on a flag).
-enum class StoreFormat {
-  kJsonl,   ///< line-oriented JSONL (core/result_store.h, the original)
-  kBinary,  ///< framed varint records + index footer (core/binary_store.h)
-};
-
-/// Parses "jsonl" | "binary" (the --store-format CLI values). Throws
-/// std::runtime_error on anything else.
-StoreFormat parse_store_format(const std::string& name);
-const char* store_format_name(StoreFormat format);
-
-/// Validates that a record belongs to the shard its file claims to hold
-/// (run_index inside the campaign AND in the shard's residue class);
-/// throws std::runtime_error naming `path` otherwise. One definition of
-/// membership, shared by both store formats.
-void check_record_membership(const InjectionRecord& record,
-                             const CampaignManifest& manifest,
-                             const std::string& path);
-
-/// Which format the file at `path` holds, decided by its leading bytes
-/// (binary stores open with the kBinaryStoreMagic header, JSONL stores
-/// with '{'). A missing or empty file reports `fallback`.
-StoreFormat detect_store_format(const std::string& path,
-                                StoreFormat fallback = StoreFormat::kJsonl);
-
-/// Uniform interface over the durable shard stores: the JSONL
-/// ShardResultStore and the binary BinaryShardStore share manifest
-/// semantics, the completed-index set, and the append contract, so the
-/// engine (Experiment::run_shard / run_indices), the fleet coordinator,
-/// and the worker all run against either format unchanged.
+/// The interface the engine (Experiment::run_shard / run_indices), the
+/// fleet coordinator, and the worker append through. ShardResultStore is
+/// the one durable implementation; the interface stays so a caller can
+/// wrap a store (e.g. to time its appends) without the engine knowing.
 class ShardStore {
  public:
   virtual ~ShardStore() = default;
@@ -101,15 +70,6 @@ class ShardStore {
   virtual void append(const InjectionRecord& record) = 0;
 };
 
-/// Opens the durable store for `manifest`'s shard at `path` in the given
-/// on-disk format (kJsonl -> ShardResultStore, kBinary ->
-/// BinaryShardStore); the open-mode semantics are identical across
-/// formats. Throws like the store constructors.
-std::unique_ptr<ShardStore> open_shard_store(const std::string& path,
-                                             const CampaignManifest& manifest,
-                                             StoreFormat format,
-                                             StoreOpenMode mode);
-
 /// Append-only, crash-tolerant result file for one shard of a campaign.
 class ShardResultStore : public ShardStore {
  public:
@@ -119,7 +79,10 @@ class ShardResultStore : public ShardStore {
   /// coordinates) throws std::runtime_error naming the differing field.
   ///
   /// Throws std::runtime_error on I/O failure, corrupt records, duplicate
-  /// run indices, or run indices outside this shard's residue class.
+  /// run indices, or run indices outside this shard's residue class. Under
+  /// kFresh and kResume it also throws, naming `path` and leaving the file
+  /// untouched, when the file is not a store at all (non-empty, first byte
+  /// not '{'); only kOverwrite discards such a file.
   ShardResultStore(std::string path, const CampaignManifest& manifest,
                    StoreOpenMode mode = StoreOpenMode::kFresh);
 
@@ -143,11 +106,12 @@ class ShardResultStore : public ShardStore {
   std::ofstream out_;
 };
 
-/// Number of complete run records in a store file of EITHER format
-/// (detected from the file's own bytes), without parsing record payloads
-/// -- 0 for a missing, empty, or manifest-only file. Cheap enough for a
-/// CLI pre-flight: the kFresh clobber refusal can fire before any
-/// expensive campaign precompute is spent.
+/// Number of complete run records in a store file, without parsing record
+/// payloads -- 0 for a missing, empty, or manifest-only file. Cheap enough
+/// for a CLI pre-flight: the kFresh clobber refusal can fire before any
+/// expensive campaign precompute is spent. Throws std::runtime_error
+/// naming `path` when the file is not a store (non-empty, first byte not
+/// '{'), so a foreign file is never mistaken for an empty one.
 std::size_t stored_record_count(const std::string& path);
 
 /// One shard file's parsed content.
@@ -156,11 +120,9 @@ struct ShardContent {
   std::vector<InjectionRecord> records;  // file order
 };
 
-/// Reads and validates a single shard store file of either format
-/// (manifest + records; a torn trailing line/frame is ignored), detected
-/// from the file's leading bytes. Throws std::runtime_error on corrupt
-/// content. Because both formats decode to identical InjectionRecords,
-/// merge_shards accepts MIXED-format shard sets and stays bit-identical.
+/// Reads and validates a single shard store file (manifest + records; a
+/// torn trailing line is ignored). Throws std::runtime_error on corrupt
+/// content or on a file that is not a store.
 ShardContent read_shard(const std::string& path);
 
 /// A reassembled campaign: the manifest with shard coordinates reset to

@@ -361,101 +361,6 @@ TEST(Determinism, ShardedCampaignMergesBitIdenticalToSingleProcess) {
   }
 }
 
-TEST(Determinism, BinaryStoreExportsByteIdenticalJsonl) {
-  // Format is provenance, not compatibility: the SAME campaign persisted
-  // through (a) the JSONL store, (b) the binary store, and (c) a
-  // mixed-format shard pair -- with a kill-mid-append torn tail and a
-  // binary resume thrown in -- must export byte-identical canonical JSONL
-  // and byte-identical fingerprints. If the binary container ever leaked
-  // into the records (a rounded double, a lost NaN bit, a reordered
-  // field), this is the test that catches it.
-  namespace fs = std::filesystem;
-  const Experiment experiment = make_experiment(4);
-  const RandomValueModel model(10, 2024);
-
-  const auto merged_artifacts = [](const std::vector<std::string>& paths) {
-    const MergedCampaign merged = merge_shards(paths);
-    std::ostringstream out;
-    write_merged_jsonl(merged, out);
-    return std::make_pair(fingerprint(merged.stats),
-                          scrub_wall_seconds(out.str()));
-  };
-
-  // (a) Baseline: one JSONL store.
-  CampaignManifest manifest = make_manifest(experiment, model, "test");
-  const std::string jsonl_path =
-      (fs::path(::testing::TempDir()) / "drivefi_binfmt_base.jsonl").string();
-  {
-    ShardResultStore store(jsonl_path, manifest, StoreOpenMode::kOverwrite);
-    experiment.run_shard(model, store);
-  }
-  const auto base = merged_artifacts({jsonl_path});
-
-  // (b) The same campaign through one binary store.
-  const std::string bin_path =
-      (fs::path(::testing::TempDir()) / "drivefi_binfmt_base.bin").string();
-  {
-    const auto store = open_shard_store(bin_path, manifest,
-                                        StoreFormat::kBinary,
-                                        StoreOpenMode::kOverwrite);
-    experiment.run_shard(model, *store);
-  }
-  EXPECT_EQ(base, merged_artifacts({bin_path}))
-      << "binary store diverged from the JSONL baseline";
-
-  // (c) Mixed-format shard pair; the binary shard is killed mid-append
-  // (torn trailing frame) and resumed.
-  CampaignManifest manifest0 = manifest;
-  manifest0.shard_index = 0;
-  manifest0.shard_count = 2;
-  const std::string path0 =
-      (fs::path(::testing::TempDir()) / "drivefi_binfmt_s0.jsonl").string();
-  {
-    ShardResultStore store(path0, manifest0, StoreOpenMode::kOverwrite);
-    experiment.run_shard(model, store);
-  }
-  CampaignManifest manifest1 = manifest0;
-  manifest1.shard_index = 1;
-  const std::string path1 =
-      (fs::path(::testing::TempDir()) / "drivefi_binfmt_s1.bin").string();
-  {
-    const auto store = open_shard_store(path1, manifest1,
-                                        StoreFormat::kBinary,
-                                        StoreOpenMode::kOverwrite);
-    store->append(experiment.execute(model.spec(1, experiment)));
-    store->append(experiment.execute(model.spec(3, experiment)));
-  }
-  {
-    // SIGKILL stand-in: strip the clean-close footer (its offset is the
-    // last 8 bytes of the trailer, per the normative layout), then dangle
-    // a torn half-frame -- a valid kind byte whose size claims more
-    // payload than the file holds -- exactly what a crash mid-append
-    // leaves behind.
-    std::uint64_t index_offset = 0;
-    {
-      std::ifstream in(path1, std::ios::binary);
-      in.seekg(-8, std::ios::end);
-      for (int i = 0; i < 8; ++i)
-        index_offset |= static_cast<std::uint64_t>(
-                            static_cast<std::uint8_t>(in.get()))
-                        << (8 * i);
-    }
-    fs::resize_file(path1, index_offset);
-    std::ofstream torn(path1, std::ios::binary | std::ios::app);
-    torn << 'R' << '\x40' << "only-part-of-a-frame";
-  }
-  {
-    const auto store = open_shard_store(path1, manifest1,
-                                        StoreFormat::kBinary,
-                                        StoreOpenMode::kResume);
-    EXPECT_EQ(store->completed(), (std::set<std::size_t>{1, 3}));
-    const CampaignStats resumed = experiment.run_shard(model, *store);
-    EXPECT_EQ(resumed.total(), 3u);  // {5, 7, 9} were missing
-  }
-  EXPECT_EQ(base, merged_artifacts({path0, path1}))
-      << "mixed-format kill/resume campaign diverged from the baseline";
-}
-
 TEST(Determinism, KillThenResumeBitIdenticalToUninterrupted) {
   // Mid-campaign kill: shard 1 of 2 executes part of its work, the process
   // dies mid-append (torn trailing line), and a --resume run finishes only

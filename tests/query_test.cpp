@@ -1,7 +1,7 @@
 // Golden-value coverage of the campaign analytics layer (core/query.h):
 // hand-computed outcome counts and nearest-rank quantiles over a fixed
-// 20-run campaign, the per-scenario violation table, point lookup on BOTH
-// store formats, diff detection (flipped outcome, drifted metric, missing
+// 20-run campaign, the per-scenario violation table, point lookup, diff
+// detection (flipped outcome, drifted metric, missing
 // runs), and the refusal paths (empty/missing/duplicate stores,
 // cross-campaign loads and diffs).
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <stdexcept>
 
-#include "core/binary_store.h"
 #include "core/query.h"
 #include "core/result_store.h"
 #include "util/bits.h"
@@ -53,18 +52,17 @@ InjectionRecord golden_record(std::size_t r) {
   return record;
 }
 
-// Writes the golden campaign into a store of `format` and returns its path.
-std::string write_golden_store(const std::string& name, StoreFormat format) {
+// Writes the golden campaign into a store and returns its path.
+std::string write_golden_store(const std::string& name) {
   const std::string path = temp_path(name);
-  const auto store = open_shard_store(path, make_manifest_for_test(20), format,
-                                      StoreOpenMode::kOverwrite);
-  for (std::size_t r = 0; r < 20; ++r) store->append(golden_record(r));
+  ShardResultStore store(path, make_manifest_for_test(20),
+                         StoreOpenMode::kOverwrite);
+  for (std::size_t r = 0; r < 20; ++r) store.append(golden_record(r));
   return path;
 }
 
 TEST(Query, GoldenAggregationsOnTheFixedCampaign) {
-  const CampaignView view =
-      load_campaign({write_golden_store("golden.jsonl", StoreFormat::kJsonl)});
+  const CampaignView view = load_campaign({write_golden_store("golden.jsonl")});
   EXPECT_TRUE(view.complete());
   ASSERT_EQ(view.records.size(), 20u);
 
@@ -104,8 +102,8 @@ TEST(Query, QuantileEdgeCases) {
 }
 
 TEST(Query, ScenarioTableGoldenRows) {
-  const CampaignView view = load_campaign(
-      {write_golden_store("scenarios.bin", StoreFormat::kBinary)});
+  const CampaignView view =
+      load_campaign({write_golden_store("scenarios.jsonl")});
   const std::vector<ScenarioRow> table = scenario_table(view);
   ASSERT_EQ(table.size(), 3u);
 
@@ -129,46 +127,38 @@ TEST(Query, ScenarioTableGoldenRows) {
   EXPECT_DOUBLE_EQ(table[2].worst_min_delta_lon, 3.0);
 }
 
-TEST(Query, LookupFindsTheSameRecordInBothFormats) {
-  const CampaignView jsonl =
-      load_campaign({write_golden_store("lookup.jsonl", StoreFormat::kJsonl)});
-  const CampaignView binary =
-      load_campaign({write_golden_store("lookup.bin", StoreFormat::kBinary)});
+TEST(Query, LookupFindsTheStoredRecord) {
+  const CampaignView view = load_campaign({write_golden_store("lookup.jsonl")});
 
-  InjectionRecord a, b;
-  ASSERT_TRUE(lookup_run(jsonl, 13, &a));
-  ASSERT_TRUE(lookup_run(binary, 13, &b));
-  EXPECT_EQ(run_record_jsonl(a), run_record_jsonl(b));
-  EXPECT_EQ(a.description, "golden #13");
-  EXPECT_TRUE(util::bits_equal(a.min_delta_lon, 14.0));
-  EXPECT_FALSE(lookup_run(jsonl, 20, &a));
-  EXPECT_FALSE(lookup_run(binary, 20, &b));
+  InjectionRecord record;
+  ASSERT_TRUE(lookup_run(view, 13, &record));
+  EXPECT_EQ(run_record_jsonl(record), run_record_jsonl(golden_record(13)));
+  EXPECT_EQ(record.description, "golden #13");
+  EXPECT_TRUE(util::bits_equal(record.min_delta_lon, 14.0));
+  EXPECT_FALSE(lookup_run(view, 20, &record));
 
-  // And both formats aggregate identically.
-  CampaignStats stats_jsonl, stats_binary;
-  for (const InjectionRecord& record : jsonl.records) stats_jsonl.add(record);
-  for (const InjectionRecord& record : binary.records) stats_binary.add(record);
-  EXPECT_EQ(campaign_fingerprint(stats_jsonl),
-            campaign_fingerprint(stats_binary));
+  // And the loaded campaign aggregates exactly like the records written.
+  CampaignStats loaded, written;
+  for (const InjectionRecord& r : view.records) loaded.add(r);
+  for (std::size_t r = 0; r < 20; ++r) written.add(golden_record(r));
+  EXPECT_EQ(campaign_fingerprint(loaded), campaign_fingerprint(written));
 }
 
 TEST(Query, DiffDetectsFlipsDriftsAndMissingRuns) {
-  const std::string path_a =
-      write_golden_store("diff_a.jsonl", StoreFormat::kJsonl);
+  const std::string path_a = write_golden_store("diff_a.jsonl");
   // Campaign B: run 5's outcome flips, run 6's metric drifts by one ulp,
   // and run 19 was never executed.
-  const std::string path_b = temp_path("diff_b.bin");
+  const std::string path_b = temp_path("diff_b.jsonl");
   {
-    const auto store =
-        open_shard_store(path_b, make_manifest_for_test(20),
-                         StoreFormat::kBinary, StoreOpenMode::kOverwrite);
+    ShardResultStore store(path_b, make_manifest_for_test(20),
+                           StoreOpenMode::kOverwrite);
     for (std::size_t r = 0; r < 19; ++r) {
       InjectionRecord record = golden_record(r);
       if (r == 5) record.outcome = Outcome::kHazard;  // was kSdcBenign
       if (r == 6)
         record.max_actuation_divergence =
             std::nextafter(record.max_actuation_divergence, 1e9);
-      store->append(record);
+      store.append(record);
     }
   }
 
@@ -195,8 +185,7 @@ TEST(Query, DiffDetectsFlipsDriftsAndMissingRuns) {
 }
 
 TEST(Query, DiffRefusesDifferentFaultSets) {
-  const CampaignView a =
-      load_campaign({write_golden_store("refuse_a.jsonl", StoreFormat::kJsonl)});
+  const CampaignView a = load_campaign({write_golden_store("refuse_a.jsonl")});
 
   // Different model parameters = a different fault set: refuse.
   CampaignManifest other = make_manifest_for_test(20);
@@ -228,8 +217,7 @@ TEST(Query, LoadRefusesEmptyMissingDuplicateAndCrossCampaign) {
   EXPECT_THROW(load_campaign({temp_path("does_not_exist.jsonl")}),
                std::runtime_error);
 
-  const std::string path =
-      write_golden_store("load.jsonl", StoreFormat::kJsonl);
+  const std::string path = write_golden_store("load.jsonl");
   // The same store twice: every run_index collides.
   EXPECT_THROW(load_campaign({path, path}), std::runtime_error);
 
@@ -244,9 +232,9 @@ TEST(Query, LoadRefusesEmptyMissingDuplicateAndCrossCampaign) {
   EXPECT_THROW(load_campaign({path, path_other}), std::runtime_error);
 
   // A manifest-only store loads as an (incomplete) empty campaign.
-  const std::string path_empty = temp_path("load_empty.bin");
+  const std::string path_empty = temp_path("load_empty.jsonl");
   {
-    BinaryShardStore store(path_empty, make_manifest_for_test(20),
+    ShardResultStore store(path_empty, make_manifest_for_test(20),
                            StoreOpenMode::kOverwrite);
   }
   const CampaignView empty = load_campaign({path_empty});

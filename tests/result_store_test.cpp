@@ -1,13 +1,15 @@
 // Shard store + manifest + merge edge cases: crash-safe reopen semantics
-// (empty store, torn trailing line), resume no-ops on complete stores,
-// duplicate/missing run indices at merge, manifest mismatch refusal, and
-// the sink error contract (write failures surface as exceptions, never as
+// (empty store, torn trailing line, foreign files refused untouched),
+// resume no-ops on complete stores, duplicate/missing run indices at
+// merge, manifest mismatch refusal, and the sink error contract (write failures surface as exceptions, never as
 // silently dropped records).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/fault_model.h"
@@ -155,6 +157,56 @@ TEST(ResultStore, FreshOpenRefusesToClobberPopulatedStore) {
   }
   ShardResultStore recreated(path, manifest, StoreOpenMode::kFresh);
   EXPECT_TRUE(recreated.completed().empty());
+}
+
+TEST(ResultStore, ForeignFilesAreRefusedNotClobbered) {
+  // A store opens with its '{' manifest line. Anything else -- a retired
+  // binary store, notes, a CSV -- must be refused by every entry point,
+  // naming the path, with its bytes untouched: counting its newlines as
+  // records would let kFresh truncate it as an "empty" store.
+  const CampaignManifest manifest = make_manifest_for_test(8);
+  const std::string path = temp_path("foreign");
+  const std::vector<std::string> foreign = {
+      std::string("DFIBREC1\x01\x00\x00\x00R\x12\x80\n\x07\x00rest", 22),
+      "notes about this campaign\n",
+      "run_index,outcome\n0,masked\n1,hazard\n",
+  };
+  const auto read_bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto expect_refused = [&](const auto& entry_point,
+                                  const std::string& bytes,
+                                  const char* what) {
+    try {
+      entry_point();
+      ADD_FAILURE() << what << " accepted a foreign file";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+          << what << ": " << error.what();
+    }
+    EXPECT_EQ(read_bytes(), bytes) << what << " changed the file";
+  };
+
+  for (const std::string& bytes : foreign) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    expect_refused([&] { stored_record_count(path); }, bytes,
+                   "stored_record_count");
+    expect_refused([&] { read_shard(path); }, bytes, "read_shard");
+    expect_refused(
+        [&] { ShardResultStore store(path, manifest, StoreOpenMode::kFresh); },
+        bytes, "kFresh");
+    expect_refused(
+        [&] { ShardResultStore store(path, manifest, StoreOpenMode::kResume); },
+        bytes, "kResume");
+    // Only an explicit kOverwrite may discard it.
+    ShardResultStore store(path, manifest, StoreOpenMode::kOverwrite);
+    EXPECT_EQ(read_bytes(), manifest.to_jsonl() + "\n");
+  }
 }
 
 TEST(ResultStore, ConfigHashPinsClassifierAndPipelineConfig) {
