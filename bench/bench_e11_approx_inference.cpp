@@ -1,4 +1,5 @@
-// E11 (extension, DESIGN.md ablation 1/2 companion) -- exact vs
+// E11 (extension, companion to ablations 1 and 2 under "Modelling
+// choices" in docs/ARCHITECTURE.md) -- exact vs
 // approximate posterior inference on the fitted ADS 3-TBN shape. The
 // paper's engine relies on "rapid probabilistic inference"; this bench
 // quantifies the design choice of an exact joint-Gaussian solver by

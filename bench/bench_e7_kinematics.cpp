@@ -1,7 +1,7 @@
 // E7 -- Stopping-distance engine (paper §III-A, Fig. 5, eq. (7)): the
 // numerical procedure P vs the closed form on straight-line motion, the
-// d_stop sweep over initial speed and steering angle, and RK4 integration
-// throughput.
+// d_stop sweep over initial speed and steering angle, and the
+// event-located solver's throughput.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -38,7 +38,7 @@ void report_tables() {
     const auto held = kinematics::stopping_distance(6.0, 33.5, 0.0, phi, 2.8);
     // Paper-pure variant: dphi/dt = 0 for the whole stop (eq. (5)).
     const auto frozen =
-        kinematics::stopping_distance(6.0, 33.5, 0.0, phi, 2.8, 5e-3, 0.0);
+        kinematics::stopping_distance(6.0, 33.5, 0.0, phi, 2.8, 0.0);
     sweep.add_row({util::Table::fmt(phi, 2),
                    util::Table::fmt(held.longitudinal, 1),
                    util::Table::fmt(held.lateral, 2),
@@ -57,15 +57,6 @@ void bm_stopping_distance(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_stopping_distance)->Arg(10)->Arg(20)->Arg(30)->Arg(40);
-
-void bm_stopping_distance_coarse(benchmark::State& state) {
-  // The dt used online by the pipeline's safety evaluation.
-  for (auto _ : state) {
-    auto d = kinematics::stopping_distance(6.0, 33.5, 0.0, 0.05, 2.8, 1e-2);
-    benchmark::DoNotOptimize(d);
-  }
-}
-BENCHMARK(bm_stopping_distance_coarse);
 
 void bm_bicycle_step(benchmark::State& state) {
   kinematics::VehicleState s;

@@ -325,8 +325,25 @@ WorkerStats WorkerClient::run() {
     if (type == "error")  // FATAL: an explicit verdict, not transport loss
       throw std::runtime_error("coordinator: " + parse_error(line).message);
     if (type == "wait") {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(parse_wait(line).seconds));
+      // Parked: nothing to lease yet. Listen for the wait instead of
+      // sleeping through it, so the end-of-campaign `complete` ends the
+      // run at once; any other message, or the wait running out, means
+      // ask again.
+      try {
+        const net::RecvStatus status =
+            conn->recv_line(&line, parse_wait(line).seconds);
+        if (status == net::RecvStatus::kClosed)
+          throw Transient("coordinator hung up while the worker waited");
+        if (status == net::RecvStatus::kMessage &&
+            message_type(line) == "complete")
+          break;
+      } catch (const net::SocketError&) {
+        if (!establish()) return give_up();
+      } catch (const net::FrameError&) {
+        if (!establish()) return give_up();
+      } catch (const Transient&) {
+        if (!establish()) return give_up();
+      }
       continue;
     }
     if (type != "lease")

@@ -275,11 +275,12 @@ std::vector<double> SafetyPredictor::infer_exact(
   }
 
   if (value.has_value()) {
-    // Observational ablation (DESIGN.md ablation 3): the naive approach
-    // conditions on the corrupted value together with the FULL golden
-    // evidence of the injection window -- including the downstream nodes
-    // whose golden values reflect the un-faulted world and therefore
-    // pull the posterior back toward "nothing happened".
+    // Observational ablation (ablation 3 under "Modelling choices" in
+    // docs/ARCHITECTURE.md): the naive approach conditions on the
+    // corrupted value together with the FULL golden evidence of the
+    // injection window -- including the downstream nodes whose golden
+    // values reflect the un-faulted world and therefore pull the posterior
+    // back toward "nothing happened".
     for (int s = 1; s <= slices - 2; ++s) {
       const auto& scene =
           trace.scenes[scene_index + static_cast<std::size_t>(s - 1)];
@@ -358,7 +359,8 @@ std::optional<DeltaPrediction> SafetyPredictor::predict_impl(
   // heading measured relative to the lane direction.
   const kinematics::StoppingDistance dstop = kinematics::stopping_distance(
       config_.amax, pred.predicted_v, pred.predicted_theta, predicted_steer,
-      config_.wheelbase);
+      config_.wheelbase, kinematics::VehicleParams{}.steering_rate,
+      config_.max_steering);
 
   // d-hat_safe: the ground-truth envelope at the query scene. Over the
   // prediction horizon (a few hundred ms) obstacle motion is unaffected
@@ -405,6 +407,7 @@ void save_predictor(const SafetyPredictor& predictor,
   meta["scene_hz"] = c.scene_hz;
   meta["amax"] = c.amax;
   meta["wheelbase"] = c.wheelbase;
+  meta["max_steering"] = c.max_steering;
   meta["lane_half_width"] = c.lane_half_width;
   meta["ego_half_width"] = c.ego_half_width;
   bn::save_network_file(predictor.network(), path, meta);
@@ -422,6 +425,7 @@ SafetyPredictor load_predictor(const std::string& path) {
   config.scene_hz = get("scene_hz", config.scene_hz);
   config.amax = get("amax", config.amax);
   config.wheelbase = get("wheelbase", config.wheelbase);
+  config.max_steering = get("max_steering", config.max_steering);
   config.lane_half_width = get("lane_half_width", config.lane_half_width);
   config.ego_half_width = get("ego_half_width", config.ego_half_width);
   return SafetyPredictor(std::move(net), config);

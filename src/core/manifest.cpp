@@ -7,6 +7,7 @@
 #include "core/experiment.h"
 #include "core/fault_model.h"
 #include "core/jsonl.h"
+#include "kinematics/stopping.h"
 #include "scenario/dsl.h"
 #include "util/bits.h"
 #include "util/fnv.h"
@@ -80,6 +81,8 @@ std::uint64_t campaign_config_hash(const ads::PipelineConfig& pipeline,
   fnv.add(classifier.actuation_epsilon);
   fnv.add(classifier.require_golden_safe);
   fnv.add(classifier.delta_persistence_scenes);
+  // The physics every record's safety potential comes from.
+  fnv.add(kinematics::kStoppingSolverVersion);
   return fnv.hash();
 }
 

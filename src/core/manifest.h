@@ -62,8 +62,9 @@ struct CampaignManifest {
   double hold_scenes = 2.0;
   /// campaign_config_hash over every other result-affecting configuration
   /// field (module rates, sensor-noise/EKF/tracker/planner/PID/watchdog
-  /// parameters, classifier thresholds), so two shards run with, say,
-  /// different actuation_epsilon or control_hz can never merge.
+  /// parameters, classifier thresholds) and the stop-solver version, so
+  /// two shards run with, say, different actuation_epsilon or control_hz,
+  /// or by builds with different stop physics, can never merge.
   std::uint64_t config_hash = 0;
 
   // -- provenance-only fields (excluded from compatibility) --------------
@@ -96,7 +97,8 @@ std::uint64_t scenario_suite_hash(const std::vector<sim::Scenario>& suite);
 
 /// FNV-1a64 over the bit patterns of every result-affecting
 /// PipelineConfig and ClassifierConfig field EXCEPT the seeds (pinned
-/// separately by the manifest) and fault_seed (overwritten per run).
+/// separately by the manifest) and fault_seed (overwritten per run), plus
+/// kinematics::kStoppingSolverVersion (the physics behind every record).
 /// KEEP IN SYNC when either struct gains a field -- a field missing here
 /// lets incompatible shards merge silently.
 std::uint64_t campaign_config_hash(const ads::PipelineConfig& pipeline,

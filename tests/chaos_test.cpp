@@ -396,5 +396,52 @@ TEST(Chaos, WorkerHonoursCompleteQueuedBehindAConnectionReset) {
   EXPECT_EQ(stats.runs_executed, 1u);  // the verdict ends the lease
 }
 
+TEST(Chaos, ParkedWorkerWakesForComplete) {
+  // A coordinator with every remaining run leased parks an idle worker
+  // with `wait`, and broadcasts `complete` when the campaign's last record
+  // lands. The parked worker must act on that verdict when it arrives, not
+  // when its wait runs out. Scripted with a stand-in coordinator that
+  // parks the worker for 5 s and sends `complete` 50 ms later.
+  const Experiment experiment = make_experiment(1);
+  const RandomValueModel model(3, 77);
+  net::TcpListener listener("127.0.0.1", 0);
+
+  std::thread coordinator([&] {
+    std::optional<net::TcpSocket> socket = listener.accept(30.0);
+    ASSERT_TRUE(socket.has_value());
+    net::MessageConnection conn(std::move(*socket));
+    std::string line;
+    ASSERT_EQ(conn.recv_line(&line, 30.0), net::RecvStatus::kMessage);
+    ASSERT_EQ(coord::message_type(line), "hello");
+    coord::WelcomeMsg welcome;
+    welcome.planned_runs = model.run_count();
+    welcome.heartbeat_timeout = 60.0;
+    conn.send_line(coord::encode(welcome));
+    ASSERT_EQ(conn.recv_line(&line, 30.0), net::RecvStatus::kMessage);
+    ASSERT_EQ(coord::message_type(line), "lease_request");
+    coord::WaitMsg wait;
+    wait.seconds = 5.0;
+    conn.send_line(coord::encode(wait));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    conn.send_line(coord::encode(coord::CompleteMsg{}));
+    // Stay connected until the worker hangs up.
+    EXPECT_EQ(conn.recv_line(&line, 30.0), net::RecvStatus::kClosed);
+  });
+
+  coord::WorkerClient worker(
+      experiment, model, "test",
+      chaos_worker_config("parked", listener.port(), nullptr));
+  const auto started = Clock::now();
+  const coord::WorkerStats stats = worker.run();
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - started).count();
+  coordinator.join();
+
+  EXPECT_LT(seconds, 0.5);
+  EXPECT_FALSE(stats.gave_up);
+  EXPECT_EQ(stats.reconnects, 0u);
+  EXPECT_EQ(stats.runs_executed, 0u);
+}
+
 }  // namespace
 }  // namespace drivefi::core

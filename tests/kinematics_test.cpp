@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "kinematics/bicycle.h"
 #include "kinematics/safety.h"
 #include "kinematics/stopping.h"
+#include "util/rng.h"
 
 namespace drivefi::kinematics {
 namespace {
@@ -131,7 +135,7 @@ TEST(Stopping, SteeringProducesLateralComponent) {
   EXPECT_LT(std::hypot(d.longitudinal, d.lateral), straight + 1e-6);
   // The paper-pure frozen-steering variant keeps the full arc.
   const StoppingDistance frozen =
-      stopping_distance(6.0, 20.0, 0.0, 0.15, 2.8, 5e-3, 0.0);
+      stopping_distance(6.0, 20.0, 0.0, 0.15, 2.8, 0.0);
   EXPECT_GT(std::abs(frozen.lateral), std::abs(d.lateral));
 }
 
@@ -148,7 +152,7 @@ TEST(Stopping, HeadingErrorProducesLateralDriftWhenFrozen) {
   // laterally by ~sin(theta0) * straight-line stopping distance.
   const double theta0 = 0.02;
   const StoppingDistance frozen =
-      stopping_distance(6.0, 30.0, theta0, 0.0, 2.8, 5e-3, 0.0);
+      stopping_distance(6.0, 30.0, theta0, 0.0, 2.8, 0.0);
   const double straight = stopping_distance_straight(6.0, 30.0);
   EXPECT_NEAR(frozen.lateral, std::sin(theta0) * straight, 0.01);
   EXPECT_NEAR(frozen.longitudinal, std::cos(theta0) * straight, 0.01);
@@ -163,9 +167,9 @@ TEST(Stopping, SteeringReleaseBoundsLateralExcursion) {
   // displacement once steering releases at the actuator rate -- the
   // degenerate sensitivity the frozen-steering variant suffers from.
   const StoppingDistance released =
-      stopping_distance(6.0, 30.0, 0.0, 0.02, 2.8, 1e-3, 0.8);
+      stopping_distance(6.0, 30.0, 0.0, 0.02, 2.8, 0.8);
   const StoppingDistance frozen =
-      stopping_distance(6.0, 30.0, 0.0, 0.02, 2.8, 1e-3, 0.0);
+      stopping_distance(6.0, 30.0, 0.0, 0.02, 2.8, 0.0);
   EXPECT_LT(std::abs(released.lateral), 0.5);
   EXPECT_GT(std::abs(frozen.lateral), 5.0);
 }
@@ -196,6 +200,152 @@ TEST_P(StoppingSweep, MonotoneInDeceleration) {
 
 INSTANTIATE_TEST_SUITE_P(SteeringAngles, StoppingSweep,
                          ::testing::Values(0.0, 0.05, 0.1, 0.2, -0.1));
+
+// ---------- Stopping solver vs a converged fixed-step oracle ----------
+
+// The emergency-stop maneuver integrated the direct way: classic RK4 at a
+// fixed step over (x, y, theta, v, phi), with the actuator slewing at
+// +-rate on the sign of its error to the lane-hold target (bang-bang, so
+// phi chatters around the target once it catches it). Converges to first
+// order in dt; at dt <= 2.5e-5 s it is a reference to a fraction of a
+// millimetre for the inputs below.
+struct OracleState {
+  double x, y, theta, v, phi;
+};
+
+OracleState oracle_deriv(const OracleState& s, double amax, double wheelbase,
+                         double rate, double cap) {
+  double dphi = 0.0;
+  if (rate > 0.0) {
+    const double err = std::clamp(-1.2 * s.theta, -cap, cap) - s.phi;
+    if (err > 1e-12)
+      dphi = rate;
+    else if (err < -1e-12)
+      dphi = -rate;
+  }
+  const double limit =
+      s.v <= 1.0 ? 1.0 : std::atan(0.7 * amax * wheelbase / (s.v * s.v));
+  const double phi_eff = std::clamp(s.phi, -limit, limit);
+  return OracleState{s.v * std::cos(s.theta), s.v * std::sin(s.theta),
+                     s.v * std::tan(phi_eff) / wheelbase, -amax, dphi};
+}
+
+StoppingDistance rk4_stopping_distance(double amax, double v0, double theta0,
+                                       double phi0, double wheelbase,
+                                       double rate, double cap, double dt) {
+  const auto axpy = [](const OracleState& s, const OracleState& d, double h) {
+    return OracleState{s.x + h * d.x, s.y + h * d.y, s.theta + h * d.theta,
+                       s.v + h * d.v, s.phi + h * d.phi};
+  };
+  OracleState s{0.0, 0.0, theta0, v0, std::clamp(phi0, -1.0, 1.0)};
+  const double t_stop = v0 / amax;
+  for (double t = 0.0; t < t_stop;) {
+    const double h = std::min(dt, t_stop - t);
+    const OracleState k1 = oracle_deriv(s, amax, wheelbase, rate, cap);
+    const OracleState k2 =
+        oracle_deriv(axpy(s, k1, 0.5 * h), amax, wheelbase, rate, cap);
+    const OracleState k3 =
+        oracle_deriv(axpy(s, k2, 0.5 * h), amax, wheelbase, rate, cap);
+    const OracleState k4 =
+        oracle_deriv(axpy(s, k3, h), amax, wheelbase, rate, cap);
+    s.x += h / 6.0 * (k1.x + 2.0 * k2.x + 2.0 * k3.x + k4.x);
+    s.y += h / 6.0 * (k1.y + 2.0 * k2.y + 2.0 * k3.y + k4.y);
+    s.theta +=
+        h / 6.0 * (k1.theta + 2.0 * k2.theta + 2.0 * k3.theta + k4.theta);
+    s.phi += h / 6.0 * (k1.phi + 2.0 * k2.phi + 2.0 * k3.phi + k4.phi);
+    s.v = std::max(0.0, s.v - amax * h);
+    t += h;
+  }
+  return StoppingDistance{s.x, s.y, t_stop};
+}
+
+struct StopCase {
+  const char* what;
+  double amax, v0, theta0, phi0, rate, cap;
+};
+
+// Seeded sweep over the ranges the pipeline and the selector feed in,
+// plus near-nominal states and one input for each switching path.
+std::vector<StopCase> accuracy_cases() {
+  std::vector<StopCase> cases = {
+      {"near-nominal", 6.0, 33.5, 1e-4, -2e-4, 0.8, 0.55},
+      {"near-nominal", 6.0, 20.0, -3e-4, 1e-4, 0.8, 0.55},
+      {"near-nominal", 6.0, 10.0, 0.0, 1e-3, 0.8, 0.55},
+      {"straight", 6.0, 25.0, 0.0, 0.0, 0.8, 0.55},
+      {"slide entry after a slew", 6.0, 30.0, 0.0, 0.05, 0.8, 0.55},
+      {"slew-limited slide exit", 6.0, 9.9272, 0.5619, -0.3475, 0.8, 0.55},
+      {"active friction clamp", 6.0, 30.0, 0.0, 0.3, 0.8, 0.55},
+      {"saturated target", 6.0, 30.0, 0.6, 0.0, 0.8, 0.55},
+      {"v = 1 breakpoint", 0.5, 3.0, 0.0, 0.9, 0.0, 0.55},
+      {"frozen steering", 6.0, 33.5, 0.02, 0.1, 0.0, 0.55},
+  };
+  util::Rng rng(20190624);
+  for (int i = 0; i < 24; ++i)
+    cases.push_back({"sweep", 6.0, rng.uniform(1.0, 40.0),
+                     rng.uniform(-0.15, 0.15), rng.uniform(-0.3, 0.3), 0.8,
+                     0.55});
+  return cases;
+}
+
+TEST(Stopping, MatchesConvergedFixedStepOracle) {
+  // 5 mm bounds the whole maneuver; the old 5 ms fixed-step integration
+  // was off by about 5 cm on the same inputs.
+  constexpr double kToleranceM = 5e-3;
+  for (const StopCase& c : accuracy_cases()) {
+    const StoppingDistance d = stopping_distance(c.amax, c.v0, c.theta0,
+                                                 c.phi0, 2.8, c.rate, c.cap);
+    const StoppingDistance ref = rk4_stopping_distance(
+        c.amax, c.v0, c.theta0, c.phi0, 2.8, c.rate, c.cap, 2.5e-5);
+    EXPECT_LE(std::hypot(d.longitudinal - ref.longitudinal,
+                         d.lateral - ref.lateral),
+              kToleranceM)
+        << c.what << ": amax=" << c.amax << " v0=" << c.v0
+        << " theta0=" << c.theta0 << " phi0=" << c.phi0;
+    EXPECT_DOUBLE_EQ(d.stop_time, c.v0 / c.amax);
+  }
+}
+
+TEST(Stopping, HonoursTheVehicleSteeringLimit) {
+  // A large heading error at low speed saturates the lane-hold command,
+  // so the steering limit shapes the stop.
+  VehicleState state;
+  state.v = 5.0;
+  state.theta = 0.6;
+  state.phi = -0.55;
+  VehicleParams params;
+  params.max_steering = 0.3;
+  const StoppingDistance d = stopping_distance(state, params);
+  const StoppingDistance capped = rk4_stopping_distance(
+      params.amax_comfort, state.v, state.theta, state.phi, params.wheelbase,
+      params.steering_rate, 0.3, 2.5e-5);
+  const StoppingDistance default_cap = rk4_stopping_distance(
+      params.amax_comfort, state.v, state.theta, state.phi, params.wheelbase,
+      params.steering_rate, 0.55, 2.5e-5);
+  EXPECT_NEAR(d.lateral, capped.lateral, 1e-3);
+  EXPECT_NEAR(d.longitudinal, capped.longitudinal, 1e-3);
+  EXPECT_GT(std::abs(d.lateral - default_cap.lateral), 0.05);
+}
+
+TEST(Stopping, SanitizesNonFiniteAndOutOfRangeInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const StoppingDistance& d :
+       {stopping_distance(6.0, nan, 0.0, 0.0, 2.8),
+        stopping_distance(6.0, 20.0, inf, 0.0, 2.8),
+        stopping_distance(6.0, 20.0, 0.0, 0.0, 2.8, nan),
+        stopping_distance(6.0, 20.0, 0.0, 0.0, 2.8, 0.8, inf),
+        stopping_distance(-1.0, 20.0, 0.0, 0.0, 2.8)}) {
+    EXPECT_EQ(d.longitudinal, 0.0);
+    EXPECT_EQ(d.lateral, 0.0);
+    EXPECT_EQ(d.stop_time, 0.0);
+  }
+  // A corrupted speed is clamped to the physical envelope, not integrated
+  // for an astronomical stop time.
+  const StoppingDistance fast = stopping_distance(6.0, 1e300, 0.01, 0.2, 2.8);
+  EXPECT_DOUBLE_EQ(fast.stop_time, 150.0 / 6.0);
+  EXPECT_TRUE(std::isfinite(fast.longitudinal));
+  EXPECT_TRUE(std::isfinite(fast.lateral));
+}
 
 // ---------- Friction-limited steering ----------
 

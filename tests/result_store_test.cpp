@@ -228,6 +228,35 @@ TEST(ResultStore, ConfigHashPinsClassifierAndPipelineConfig) {
   EXPECT_EQ(base, campaign_config_hash(reseeded, classifier));
 }
 
+TEST(ResultStore, ResumeRefusesStoreFromOtherStopPhysics) {
+  // campaign_config_hash of the default PipelineConfig and ClassifierConfig
+  // under stop-solver version 1 (the fixed-step RK4). Its records carry
+  // safety potentials from the old numerics, so they must not be resumed
+  // into or merged with records from this build.
+  constexpr std::uint64_t kVersion1DefaultConfigHash = 9440965806924866995ULL;
+  const std::uint64_t current =
+      campaign_config_hash(ads::PipelineConfig{}, ClassifierConfig{});
+  EXPECT_NE(current, kVersion1DefaultConfigHash);
+
+  const std::string path = temp_path("old_physics");
+  CampaignManifest old_manifest = make_manifest_for_test(4);
+  old_manifest.config_hash = kVersion1DefaultConfigHash;
+  {
+    ShardResultStore store(path, old_manifest, StoreOpenMode::kOverwrite);
+    store.append(make_record(0));
+  }
+  CampaignManifest manifest = old_manifest;
+  manifest.config_hash = current;
+  try {
+    ShardResultStore resumed(path, manifest, StoreOpenMode::kResume);
+    FAIL() << "resume accepted a store from other stop physics";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("config_hash"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(ResultStore, ResumeRefusesMismatchedManifest) {
   const std::string path = temp_path("mismatch");
   const CampaignManifest manifest = make_manifest_for_test(4);
