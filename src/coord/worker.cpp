@@ -310,6 +310,19 @@ WorkerStats WorkerClient::run() {
         type = message_type(line);
         if (type != "heartbeat_ack" && type != "lease_ack") break;
       }
+      if (type == "wait") {
+        // Parked: nothing to lease yet. Listen for the wait instead of
+        // sleeping through it, so the end-of-campaign `complete` ends the
+        // run at once; any other message, or the wait running out, means
+        // ask again.
+        const net::RecvStatus status =
+            conn->recv_line(&line, parse_wait(line).seconds);
+        if (status == net::RecvStatus::kClosed)
+          throw Transient("coordinator hung up while the worker waited");
+        if (status == net::RecvStatus::kMessage &&
+            message_type(line) == "complete")
+          type = "complete";
+      }
     } catch (const net::SocketError&) {
       if (!establish()) return give_up();
       continue;
@@ -324,28 +337,7 @@ WorkerStats WorkerClient::run() {
     if (type == "complete") break;
     if (type == "error")  // FATAL: an explicit verdict, not transport loss
       throw std::runtime_error("coordinator: " + parse_error(line).message);
-    if (type == "wait") {
-      // Parked: nothing to lease yet. Listen for the wait instead of
-      // sleeping through it, so the end-of-campaign `complete` ends the
-      // run at once; any other message, or the wait running out, means
-      // ask again.
-      try {
-        const net::RecvStatus status =
-            conn->recv_line(&line, parse_wait(line).seconds);
-        if (status == net::RecvStatus::kClosed)
-          throw Transient("coordinator hung up while the worker waited");
-        if (status == net::RecvStatus::kMessage &&
-            message_type(line) == "complete")
-          break;
-      } catch (const net::SocketError&) {
-        if (!establish()) return give_up();
-      } catch (const net::FrameError&) {
-        if (!establish()) return give_up();
-      } catch (const Transient&) {
-        if (!establish()) return give_up();
-      }
-      continue;
-    }
+    if (type == "wait") continue;
     if (type != "lease")
       throw std::runtime_error("worker: unexpected reply " + type);
 

@@ -357,10 +357,11 @@ std::optional<DeltaPrediction> SafetyPredictor::predict_impl(
 
   // d-hat_stop from the kinematic emergency-stop procedure P (eq. (7)),
   // heading measured relative to the lane direction.
+  // The actuator's slew rate and steering limit are the ego vehicle's.
+  const kinematics::VehicleParams ego;
   const kinematics::StoppingDistance dstop = kinematics::stopping_distance(
       config_.amax, pred.predicted_v, pred.predicted_theta, predicted_steer,
-      config_.wheelbase, kinematics::VehicleParams{}.steering_rate,
-      config_.max_steering);
+      config_.wheelbase, ego.steering_rate, ego.max_steering);
 
   // d-hat_safe: the ground-truth envelope at the query scene. Over the
   // prediction horizon (a few hundred ms) obstacle motion is unaffected
@@ -407,7 +408,6 @@ void save_predictor(const SafetyPredictor& predictor,
   meta["scene_hz"] = c.scene_hz;
   meta["amax"] = c.amax;
   meta["wheelbase"] = c.wheelbase;
-  meta["max_steering"] = c.max_steering;
   meta["lane_half_width"] = c.lane_half_width;
   meta["ego_half_width"] = c.ego_half_width;
   bn::save_network_file(predictor.network(), path, meta);
@@ -425,7 +425,6 @@ SafetyPredictor load_predictor(const std::string& path) {
   config.scene_hz = get("scene_hz", config.scene_hz);
   config.amax = get("amax", config.amax);
   config.wheelbase = get("wheelbase", config.wheelbase);
-  config.max_steering = get("max_steering", config.max_steering);
   config.lane_half_width = get("lane_half_width", config.lane_half_width);
   config.ego_half_width = get("ego_half_width", config.ego_half_width);
   return SafetyPredictor(std::move(net), config);

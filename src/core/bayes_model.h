@@ -46,9 +46,6 @@ struct SafetyPredictorConfig {
   double scene_hz = 7.5;    // slice spacing
   double amax = 6.0;        // emergency-stop deceleration
   double wheelbase = 2.8;
-  /// Steering limit of the emergency-stop maneuver's lane-hold command,
-  /// rad; the same value as the ego's kinematics::VehicleParams.
-  double max_steering = 0.55;
   double lane_half_width = 1.85;
   double ego_half_width = 0.95;
   /// Route queries through the compiled engine (cached joint + per-variable
