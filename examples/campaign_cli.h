@@ -93,7 +93,8 @@ inline const char* kCampaignFlagHelp =
     "                       (default: random-value)\n"
     "  --runs N             campaign size for the random models (default 60)\n"
     "  --seed S             campaign seed (default 1234)\n"
-    "  --bits B             flipped bits per injection, random-bitflip only\n"
+    "  --bits B             flipped bits per injection (1..64), random-bitflip\n"
+    "                       only (default 1)\n"
     "  --replays N          bayesian: replay the top N of F_crit (default 25)\n"
     "  --load-bn FILE       bayesian: reuse a fitted predictor (no refit)\n"
     "  --save-bn FILE       bayesian: persist the fitted predictor\n"
@@ -114,10 +115,21 @@ inline bool parse_campaign_flag(CampaignArgs& a, const std::string& arg,
     return static_cast<unsigned>(
         parse_u64_flag(arg, next(), std::numeric_limits<unsigned>::max()));
   };
+  // A flip hits distinct bits of one 64-bit word: 1..64.
+  const auto bit_count = [&] {
+    const std::string value = next();
+    const auto bits = parse_u64_flag(arg, value, 64);
+    if (bits == 0) {
+      std::fprintf(stderr, "error: %s must be at least 1, got %s\n",
+                   arg.c_str(), value.c_str());
+      std::exit(2);
+    }
+    return static_cast<unsigned>(bits);
+  };
   if (arg == "--model") a.model_name = next();
   else if (arg == "--runs") a.runs = count();
   else if (arg == "--seed") a.seed = count();
-  else if (arg == "--bits") a.bits = small();
+  else if (arg == "--bits") a.bits = bit_count();
   else if (arg == "--replays") a.replays = count();
   else if (arg == "--load-bn") a.load_bn = next();
   else if (arg == "--save-bn") a.save_bn = next();

@@ -1,7 +1,9 @@
 // drivefi_campaign: the unified campaign CLI -- one entry point for
 // running, sharding, resuming, merging, and fleet-working fault-injection
-// campaigns, subsuming the per-example flag sprawl of mine_critical_faults
-// and random_vs_bayesian.
+// campaigns. `run --model bayesian` is the paper's full workflow (golden
+// traces -> fit k-TBN -> counterfactual sweep of the fault catalog ->
+// replay F_crit); random_vs_bayesian narrates the same loop side by side
+// with a random baseline.
 //
 //   drivefi_campaign run [campaign options] [run options]
 //     (campaign options: see campaign_cli.h / docs/FORMATS.md)

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "hw/bitflip.h"
 #include "util/bits.h"
 
 namespace drivefi::ads {
@@ -66,13 +67,13 @@ void AdsPipeline::build_modules() {
   scheduler_.add_module("imu", config_.imu_hz, [this](double t) {
     const ImuMsg msg = sense_imu(world_, config_.imu_noise, rng_);
     imu_.publish(msg, t);
-    arch_.retire_instructions(kInstrImu);
+    instructions_retired_ += kInstrImu;
   });
 
   scheduler_.add_module("gps", config_.gps_hz, [this](double t) {
     const GpsMsg msg = sense_gps(world_, config_.gps_noise, rng_);
     gps_.publish(msg, t);
-    arch_.retire_instructions(kInstrGps);
+    instructions_retired_ += kInstrGps;
   });
 
   scheduler_.add_module("localization", config_.imu_hz, [this](double t) {
@@ -128,7 +129,7 @@ void AdsPipeline::build_modules() {
     wm.objects = tracker_.update(detections_.latest(), t);
     annotate_lead(wm, loc);
     world_model_.publish(wm, t);
-    arch_.retire_instructions(kInstrPerception);
+    instructions_retired_ += kInstrPerception;
   });
 
   scheduler_.add_module("planner", config_.planner_hz, [this](double t) {
@@ -145,7 +146,7 @@ void AdsPipeline::build_modules() {
         std::clamp(static_cast<int>(std::lround(loc.y / world_.road().lane_width)),
                    0, world_.road().lanes - 1));
     plan_.publish(plan(loc, wm, lane_center, config_.planner, t), t);
-    arch_.retire_instructions(kInstrPlanner);
+    instructions_retired_ += kInstrPlanner;
   });
 
   scheduler_.add_module("control", config_.control_hz, [this](double t) {
@@ -172,7 +173,7 @@ void AdsPipeline::build_modules() {
       msg.steering = p.target_steer;
       control_.publish(msg, t);
     }
-    arch_.retire_instructions(kInstrControl);
+    instructions_retired_ += kInstrControl;
     last_primary_control_time_ = t;
   });
 
@@ -314,17 +315,6 @@ void AdsPipeline::register_fault_targets() {
       [this](double v) {
         if (control_.has_message()) control_.mutable_latest().steering = v;
       });
-
-  // Bind every registry target into the simulated architectural state so
-  // the hardware injector can flip bits in the same live variables.
-  for (const auto& target : registry_.targets()) {
-    hw::BoundRegister reg;
-    reg.name = target.name;
-    reg.protection = hw::Protection::kNone;
-    reg.get = target.get;
-    reg.set = target.set;
-    arch_.bind(std::move(reg));
-  }
 }
 
 void AdsPipeline::apply_value_faults(double t) {
@@ -340,16 +330,12 @@ void AdsPipeline::apply_bit_faults() {
   bit_fault_done_.resize(bit_faults_.size(), false);
   for (std::size_t i = 0; i < bit_faults_.size(); ++i) {
     if (bit_fault_done_[i]) continue;
-    if (arch_.instructions_retired() < bit_faults_[i].instruction_index)
-      continue;
+    if (instructions_retired_ < bit_faults_[i].instruction_index) continue;
     bit_fault_done_[i] = true;
-    // Locate the bound register by name.
-    for (std::size_t r = 0; r < arch_.register_count(); ++r) {
-      if (arch_.reg(r).name == bit_faults_[i].target) {
-        arch_.inject(r, bit_faults_[i].bits, fault_rng_);
-        break;
-      }
-    }
+    const runtime::FaultTarget* target = registry_.find(bit_faults_[i].target);
+    if (target)
+      target->set(
+          hw::flip_random_bits(target->get(), bit_faults_[i].bits, fault_rng_));
   }
 }
 
@@ -410,7 +396,7 @@ PipelineSnapshot AdsPipeline::snapshot() const {
   snap.scheduler = scheduler_.snapshot();
   snap.world = world_.snapshot();
   snap.rng = rng_.state();
-  snap.arch = arch_.snapshot();
+  snap.instructions_retired = instructions_retired_;
   snap.gps = gps_.snapshot();
   snap.imu = imu_.snapshot();
   snap.detections = detections_.snapshot();
@@ -432,7 +418,7 @@ void AdsPipeline::restore(const PipelineSnapshot& snap) {
   scheduler_.restore(snap.scheduler);
   world_.restore(snap.world);
   rng_.set_state(snap.rng);
-  arch_.restore(snap.arch);
+  instructions_retired_ = snap.instructions_retired;
   gps_.restore(snap.gps);
   imu_.restore(snap.imu);
   detections_.restore(snap.detections);
@@ -471,7 +457,8 @@ bool AdsPipeline::state_matches(const PipelineSnapshot& snap) const {
   return scheduler_.state_equals(snap.scheduler) &&
          util::bits_equal(last_primary_control_time_,
                           snap.last_primary_control_time) &&
-         arch_.state_equals(snap.arch) && rng_.state_equals(snap.rng) &&
+         instructions_retired_ == snap.instructions_retired &&
+         rng_.state_equals(snap.rng) &&
          hung_modules_ == snap.hung_modules &&
          bits_equal(config_.object_sensor, snap.object_sensor) &&
          world_.state_equals(snap.world) && pid_.state_equals(snap.pid) &&

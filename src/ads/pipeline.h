@@ -17,7 +17,6 @@
 #include "ads/sensors.h"
 #include "ads/tracker.h"
 #include "ads/watchdog.h"
-#include "hw/arch_state.h"
 #include "kinematics/safety.h"
 #include "runtime/channel.h"
 #include "runtime/fault_registry.h"
@@ -106,8 +105,8 @@ struct ValueFault {
   double hold_duration = 0.05;  // ~one producer period by default
 };
 
-// A hardware fault (fault model (a)): flip `bits` random bits of the
-// register bound to `target` once, when the dynamic instruction count
+// A hardware fault (fault model (a)): flip `bits` distinct random bits of
+// the registry target `target` once, when the dynamic instruction count
 // first reaches `instruction_index`.
 struct BitFault {
   std::string target;
@@ -117,7 +116,7 @@ struct BitFault {
 
 // Complete simulation state of a pipeline + its world at one base tick:
 // every module's state, every channel, the scheduler, the sensor-noise RNG
-// stream, the architectural instruction counter, and the world. Golden
+// stream, the dynamic instruction counter, and the world. Golden
 // runs record these at a configurable scene stride; forked replays restore
 // the nearest checkpoint at-or-before the injection instead of
 // re-simulating the prefix, and splice the golden tail once the faulty
@@ -133,7 +132,7 @@ struct PipelineSnapshot {
   runtime::Scheduler::Snapshot scheduler;
   sim::World::Snapshot world;
   util::RngState rng;  // sensor-noise stream
-  hw::ArchState::Snapshot arch;
+  std::uint64_t instructions_retired = 0;
   runtime::Channel<GpsMsg>::Snapshot gps;
   runtime::Channel<ImuMsg>::Snapshot imu;
   runtime::Channel<DetectionMsg>::Snapshot detections;
@@ -211,7 +210,9 @@ class AdsPipeline {
 
   // Fault interface.
   runtime::FaultRegistry& fault_registry() { return registry_; }
-  hw::ArchState& arch_state() { return arch_; }
+  // Dynamic instruction counter: modules advance it as they execute; bit
+  // faults trigger when it crosses their instruction index.
+  std::uint64_t instructions_retired() const { return instructions_retired_; }
   void arm_value_fault(const ValueFault& fault) { value_faults_.push_back(fault); }
   void arm_bit_fault(const BitFault& fault) { bit_faults_.push_back(fault); }
 
@@ -258,7 +259,7 @@ class AdsPipeline {
 
   runtime::Scheduler scheduler_;
   runtime::FaultRegistry registry_;
-  hw::ArchState arch_;
+  std::uint64_t instructions_retired_ = 0;
 
   runtime::Channel<GpsMsg> gps_{"gps"};
   runtime::Channel<ImuMsg> imu_{"imu"};

@@ -13,12 +13,6 @@ using util::Vector;
 
 ObjectTracker::ObjectTracker(const TrackerConfig& config) : config_(config) {}
 
-void ObjectTracker::reset() {
-  tracks_.clear();
-  next_id_ = 1;
-  last_time_ = -1.0;
-}
-
 bool ObjectTracker::state_equals(const Snapshot& snap) const {
   using util::bits_equal;
   if (next_id_ != snap.next_id || !bits_equal(last_time_, snap.last_time) ||

@@ -64,7 +64,6 @@ class ObjectTracker {
   // update/spawn/prune. Returns the confirmed tracks.
   std::vector<TrackedObject> update(const DetectionMsg& detections, double t);
 
-  void reset();
   std::size_t live_track_count() const { return tracks_.size(); }
 
  private:

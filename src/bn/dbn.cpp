@@ -44,36 +44,4 @@ std::vector<NodeSpec> DbnTemplate::unrolled_specs(int slices) const {
   return specs;
 }
 
-Dataset DbnTemplate::unrolled_dataset(const Dataset& trace, int slices,
-                                      int stride) const {
-  assert(slices >= 1 && stride >= 1);
-  Dataset out;
-  for (int t = 0; t < slices; ++t)
-    for (const auto& var : variables_)
-      out.columns.push_back(slice_name(var, t));
-
-  std::vector<std::size_t> var_cols(variables_.size());
-  for (std::size_t i = 0; i < variables_.size(); ++i)
-    var_cols[i] = trace.column_index(variables_[i]);
-
-  if (trace.rows.size() < static_cast<std::size_t>(slices)) return out;
-  const std::size_t windows = trace.rows.size() - slices + 1;
-  for (std::size_t start = 0; start < windows;
-       start += static_cast<std::size_t>(stride)) {
-    std::vector<double> row;
-    row.reserve(out.columns.size());
-    for (int t = 0; t < slices; ++t)
-      for (std::size_t i = 0; i < variables_.size(); ++i)
-        row.push_back(trace.rows[start + t][var_cols[i]]);
-    out.add_row(std::move(row));
-  }
-  return out;
-}
-
-LinearGaussianNetwork DbnTemplate::fit(const Dataset& trace, int slices,
-                                       const FitOptions& options) const {
-  return fit_network(unrolled_specs(slices), unrolled_dataset(trace, slices),
-                     options);
-}
-
 }  // namespace drivefi::bn

@@ -2,15 +2,15 @@
 // 3-Temporal Bayesian Network (3-TBN, Fig. 6): a per-slice ("intra")
 // topology mirroring the ADS dataflow, plus "inter" edges from slice t-1
 // to slice t, unrolled three times. This module expresses the template
-// once and mechanically produces (a) the unrolled node specs for fitting
-// and (b) the sliding-window training dataset from a time-indexed trace.
+// once and mechanically produces the unrolled node specs for fitting; the
+// sliding-window training rows come from the golden scene logs
+// (core::SafetyPredictor).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "bn/fit.h"
-#include "bn/network.h"
 
 namespace drivefi::bn {
 
@@ -32,44 +32,10 @@ class DbnTemplate {
   // dropped (slice 0 nodes keep only intra parents).
   std::vector<NodeSpec> unrolled_specs(int slices) const;
 
-  // Builds the unrolled training set: every window of `slices` consecutive
-  // trace rows becomes one training row with columns "var@slice". The
-  // trace's columns must cover all template variables. Windows may
-  // optionally be restricted to stride > 1 to decorrelate samples.
-  Dataset unrolled_dataset(const Dataset& trace, int slices,
-                           int stride = 1) const;
-
-  // Fit a k-TBN from a trace in one call.
-  LinearGaussianNetwork fit(const Dataset& trace, int slices,
-                            const FitOptions& options = {}) const;
-
  private:
   std::vector<std::string> variables_;
   std::vector<std::pair<std::string, std::string>> intra_edges_;
   std::vector<std::pair<std::string, std::string>> inter_edges_;
-};
-
-// Convenience wrapper: holds an unrolled network plus slice count and maps
-// (variable, slice) to assignments/queries.
-class TemporalNetwork {
- public:
-  TemporalNetwork() = default;
-  TemporalNetwork(LinearGaussianNetwork net, int slices)
-      : net_(std::move(net)), slices_(slices) {}
-
-  const LinearGaussianNetwork& network() const { return net_; }
-  int slices() const { return slices_; }
-
-  static Assignment at(const std::string& variable, int slice, double value) {
-    return Assignment{DbnTemplate::slice_name(variable, slice), value};
-  }
-  static std::string query(const std::string& variable, int slice) {
-    return DbnTemplate::slice_name(variable, slice);
-  }
-
- private:
-  LinearGaussianNetwork net_;
-  int slices_ = 0;
 };
 
 }  // namespace drivefi::bn

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "util/matrix.h"
@@ -87,37 +86,6 @@ LinearGaussianNetwork fit_network(const std::vector<NodeSpec>& specs,
     net.add_node(spec.name, spec.parents, weights, beta[p], var);
   }
   return net;
-}
-
-std::vector<FitDiagnostics> evaluate_fit(const LinearGaussianNetwork& net,
-                                         const Dataset& data) {
-  std::vector<FitDiagnostics> out;
-  for (NodeId i = 0; i < net.node_count(); ++i) {
-    const auto& cpd = net.cpd(i);
-    const std::size_t y_col = data.column_index(net.name(i));
-
-    double y_mean = 0.0;
-    for (const auto& row : data.rows) y_mean += row[y_col];
-    y_mean /= static_cast<double>(data.rows.size());
-
-    double sse = 0.0;
-    double sst = 0.0;
-    for (const auto& row : data.rows) {
-      double pred = cpd.bias;
-      for (std::size_t j = 0; j < cpd.parents.size(); ++j)
-        pred += cpd.weights[j] * row[data.column_index(net.name(cpd.parents[j]))];
-      const double r = row[y_col] - pred;
-      sse += r * r;
-      const double dy = row[y_col] - y_mean;
-      sst += dy * dy;
-    }
-    FitDiagnostics diag;
-    diag.node = net.name(i);
-    diag.rmse = std::sqrt(sse / static_cast<double>(data.rows.size()));
-    diag.r2 = sst > 0.0 ? 1.0 - sse / sst : 1.0;
-    out.push_back(diag);
-  }
-  return out;
 }
 
 }  // namespace drivefi::bn

@@ -41,14 +41,4 @@ LinearGaussianNetwork fit_network(const std::vector<NodeSpec>& specs,
                                   const Dataset& data,
                                   const FitOptions& options = {});
 
-// Per-node goodness-of-fit diagnostics on held-out data.
-struct FitDiagnostics {
-  std::string node;
-  double rmse = 0.0;
-  double r2 = 0.0;
-};
-
-std::vector<FitDiagnostics> evaluate_fit(const LinearGaussianNetwork& net,
-                                         const Dataset& data);
-
 }  // namespace drivefi::bn

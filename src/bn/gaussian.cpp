@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace drivefi::bn {
 
@@ -68,17 +67,6 @@ MultivariateGaussian MultivariateGaussian::condition(
       cond_cov(c, r) = v;
     }
   return MultivariateGaussian(cond_mean, std::move(cond_cov));
-}
-
-double MultivariateGaussian::log_pdf(const Vector& x) const {
-  assert(x.size() == dim());
-  const Cholesky chol(covariance_);
-  const Vector diff = x - mean_;
-  const Vector solved = chol.solve(diff);
-  const double quad = diff.dot(solved);
-  constexpr double kLog2Pi = 1.8378770664093453;
-  return -0.5 * (static_cast<double>(dim()) * kLog2Pi +
-                 chol.log_determinant() + quad);
 }
 
 }  // namespace drivefi::bn

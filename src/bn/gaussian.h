@@ -36,10 +36,6 @@ class MultivariateGaussian {
       const std::vector<Evidence>& evidence,
       std::vector<std::size_t>* remaining_indices = nullptr) const;
 
-  // Log density at a point (uses Cholesky; degenerate directions get
-  // jitter, consistent with deterministic BN nodes).
-  double log_pdf(const util::Vector& x) const;
-
  private:
   util::Vector mean_;
   util::Matrix covariance_;

@@ -24,11 +24,6 @@ bool Dag::add_edge(NodeId parent, NodeId child) {
   return true;
 }
 
-void Dag::remove_edge(NodeId parent, NodeId child) {
-  auto& p = parents_[child];
-  p.erase(std::remove(p.begin(), p.end(), parent), p.end());
-}
-
 void Dag::sever_parents(NodeId node) { parents_[node].clear(); }
 
 std::optional<NodeId> Dag::find(const std::string& name) const {

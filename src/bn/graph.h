@@ -20,7 +20,6 @@ class Dag {
   // Adds edge parent -> child. Rejects (returns false) if it would create
   // a cycle or duplicate an existing edge.
   bool add_edge(NodeId parent, NodeId child);
-  void remove_edge(NodeId parent, NodeId child);
 
   // Severs all incoming edges of `node`; this is the graph surgery behind
   // Pearl's do-operator (paper §II-C: "removes statistical conditional

@@ -57,14 +57,4 @@ FaultCatalog build_catalog(const std::vector<sim::Scenario>& scenarios,
   return catalog;
 }
 
-double exhaustive_cost_seconds(const FaultCatalog& catalog,
-                               const std::vector<sim::Scenario>& scenarios,
-                               double sim_seconds_per_wall_second) {
-  // Each candidate fault replays its whole scenario.
-  double total_sim_seconds = 0.0;
-  for (const auto& fault : catalog.faults)
-    total_sim_seconds += scenarios[fault.scenario_index].duration;
-  return total_sim_seconds / sim_seconds_per_wall_second;
-}
-
 }  // namespace drivefi::core

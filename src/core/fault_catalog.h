@@ -50,11 +50,4 @@ FaultCatalog build_catalog(const std::vector<sim::Scenario>& scenarios,
                            const std::vector<TargetRange>& targets,
                            double scene_hz = 7.5);
 
-/// Cost model for exhaustively simulating the catalog: every fault requires
-/// replaying its scenario. Returns estimated wall-clock seconds given a
-/// measured real-time factor (sim seconds per wall second).
-double exhaustive_cost_seconds(const FaultCatalog& catalog,
-                               const std::vector<sim::Scenario>& scenarios,
-                               double sim_seconds_per_wall_second);
-
 }  // namespace drivefi::core

@@ -1,6 +1,8 @@
 #include "core/fault_model.h"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/experiment.h"
 #include "core/result_sink.h"
@@ -10,7 +12,11 @@
 namespace drivefi::core {
 
 BitFlipModel::BitFlipModel(std::size_t n, std::uint64_t seed, unsigned bits)
-    : n_(n), seed_(seed), bits_(bits), targets_(default_target_ranges()) {}
+    : n_(n), seed_(seed), bits_(bits), targets_(default_target_ranges()) {
+  if (bits < 1 || bits > 64)
+    throw std::invalid_argument("BitFlipModel: bits must be in 1..64, got " +
+                                std::to_string(bits));
+}
 
 RunSpec BitFlipModel::spec(std::size_t run_index,
                            const Experiment& experiment) const {

@@ -74,7 +74,9 @@ class FaultModel {
 };
 
 /// Fault model (a): n uniform-random single/multi-bit flips in
-/// architectural state, at a uniform dynamic-instruction index.
+/// architectural state, at a uniform dynamic-instruction index. Each flip
+/// hits `bits` distinct bits of a 64-bit word, so the constructor throws
+/// std::invalid_argument unless 1 <= bits <= 64.
 class BitFlipModel : public FaultModel {
  public:
   BitFlipModel(std::size_t n, std::uint64_t seed, unsigned bits = 1);

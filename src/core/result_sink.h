@@ -5,9 +5,8 @@
 /// thread count -- to any attached sinks, so reports, benches, and file
 /// exports all consume the same records without re-running anything.
 ///
-/// Error contract: the file-writing sinks (CsvSink, JsonlSink) check the
-/// stream after every write and flush, and throw std::runtime_error on
-/// failure (disk full, closed stream) instead of silently dropping
+/// Error contract: the file-writing sink (JsonlSink) checks the stream
+/// after every write and flush, and throws std::runtime_error on failure (disk full, closed stream) instead of silently dropping
 /// records. The ParallelExecutor propagates a sink exception to the
 /// campaign caller and cancels outstanding work.
 #pragma once
@@ -59,20 +58,6 @@ class StatsSink : public ResultSink {
 
  private:
   CampaignStats stats_;
-};
-
-/// Streaming CSV: a header row, then one row per record as it completes.
-/// Throws std::runtime_error when a write or the final flush fails.
-class CsvSink : public ResultSink {
- public:
-  explicit CsvSink(std::ostream& out) : out_(out) {}
-
-  void begin(const CampaignMeta& meta) override;
-  void consume(const InjectionRecord& record) override;
-  void finish(const CampaignStats& stats) override;
-
- private:
-  std::ostream& out_;
 };
 
 /// Streaming JSONL: one JSON object per record, plus a final summary line

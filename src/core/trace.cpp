@@ -25,7 +25,7 @@ const ads::PipelineSnapshot* GoldenTrace::checkpoint_before_instruction(
   for (const auto& ck : checkpoints) {
     // A checkpoint at-or-past the trigger count would skip the injection:
     // the fault fires on the first step where the counter reaches it.
-    if (ck.arch.instructions_retired >= instruction_index) break;
+    if (ck.instructions_retired >= instruction_index) break;
     best = &ck;
   }
   return best;
@@ -99,22 +99,6 @@ std::vector<GoldenTrace> run_golden_suite(
   for (std::size_t i = 0; i < scenarios.size(); ++i)
     traces.push_back(run_golden(scenarios[i], config, i, checkpoint_stride));
   return traces;
-}
-
-bn::Dataset traces_to_dataset(const std::vector<GoldenTrace>& traces,
-                              bool require_lead) {
-  bn::Dataset data;
-  data.columns = ads::scene_variable_names();
-  std::size_t total = 0;
-  for (const auto& trace : traces) total += trace.scenes.size();
-  data.rows.reserve(total);
-  for (const auto& trace : traces) {
-    for (const auto& scene : trace.scenes) {
-      if (require_lead && scene.lead_gap < 0.0) continue;
-      data.add_row(ads::scene_variable_values(scene));
-    }
-  }
-  return data;
 }
 
 }  // namespace drivefi::core

@@ -1,7 +1,7 @@
 /// \file
-/// Bridges ADS scene logs to BN datasets. Golden (fault-free) traces are
-/// the training data for the 3-TBN, exactly as the paper fits its model on
-/// fault-free ADS executions. Golden runs additionally record pipeline
+/// Golden (fault-free) runs. Their scene logs are the training data for
+/// the 3-TBN (core::SafetyPredictor), exactly as the paper fits its model
+/// on fault-free ADS executions. Golden runs additionally record pipeline
 /// checkpoints at a configurable scene stride. Forked replays restore the
 /// latest checkpoint strictly before their injection instead of
 /// re-simulating the (bit-identical) prefix, and the checkpoints after it
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ads/pipeline.h"
-#include "bn/fit.h"
 #include "sim/scenario.h"
 
 namespace drivefi::core {
@@ -56,11 +55,5 @@ std::vector<GoldenTrace> run_golden_suite(
 /// module fires on tick 0 and every base_hz/scene_hz ticks after).
 std::size_t expected_scene_records(double duration,
                                    const ads::PipelineConfig& config);
-
-/// Concatenated per-scene BN dataset over all traces. Only scenes with a
-/// valid lead object (lead_gap >= 0) are kept when require_lead is set,
-/// since lead_gap = -1 sentinel rows would poison the linear fit.
-bn::Dataset traces_to_dataset(const std::vector<GoldenTrace>& traces,
-                              bool require_lead = true);
 
 }  // namespace drivefi::core

@@ -1,41 +1,22 @@
 #include "hw/bitflip.h"
 
-#include <cmath>
-#include <cstring>
+#include <bit>
+#include <cassert>
+#include <cstdint>
 
 namespace drivefi::hw {
 
-std::uint64_t double_to_bits(double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double bits_to_double(std::uint64_t bits) {
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-double flip_bit(double value, unsigned bit) {
-  return bits_to_double(double_to_bits(value) ^ (1ULL << (bit & 63U)));
-}
-
-double flip_bits(double value, const unsigned* bits, unsigned count) {
-  std::uint64_t image = double_to_bits(value);
-  for (unsigned i = 0; i < count; ++i) image ^= 1ULL << (bits[i] & 63U);
-  return bits_to_double(image);
-}
-
-CorruptionKind classify_corruption(double original, double corrupted) {
-  if (!std::isfinite(corrupted)) return CorruptionKind::kNonFinite;
-  if (double_to_bits(original) == double_to_bits(corrupted))
-    return CorruptionKind::kNone;
-  if (std::abs(corrupted) > 1e12) return CorruptionKind::kExtreme;
-  const double scale = std::max(std::abs(original), 1e-12);
-  if (std::abs(corrupted - original) / scale < 1e-6)
-    return CorruptionKind::kBenignDelta;
-  return CorruptionKind::kValueError;
+double flip_random_bits(double value, unsigned bits, util::Rng& rng) {
+  assert(bits <= 64 && "a 64-bit word has no 65th distinct bit");
+  std::uint64_t mask = 0;
+  unsigned placed = 0;
+  while (placed < bits) {
+    const std::uint64_t b = 1ULL << rng.uniform_index(64);
+    if (mask & b) continue;
+    mask |= b;
+    ++placed;
+  }
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(value) ^ mask);
 }
 
 }  // namespace drivefi::hw

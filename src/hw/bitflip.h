@@ -1,33 +1,19 @@
-// IEEE-754-aware bit manipulation for the hardware fault model (paper
-// fault model (a): single/multi-bit faults in non-ECC-protected processor
-// structures). Flips operate on the raw 64-bit image of a double.
+// The hardware fault model (paper fault model (a)): single/multi-bit
+// faults in processor state. The paper injects only into unprotected
+// state, since memory and caches are assumed SECDED-protected ("Memory and
+// caches ... are assumed to be protected with SECDED codes", §II-C); every
+// register the pipeline exposes is such state, so a flip always lands in
+// the live value.
 #pragma once
 
-#include <cstdint>
+#include "util/rng.h"
 
 namespace drivefi::hw {
 
-std::uint64_t double_to_bits(double value);
-double bits_to_double(std::uint64_t bits);
-
-// Flip bit `bit` (0 = LSB of mantissa, 63 = sign) of the double's image.
-double flip_bit(double value, unsigned bit);
-
-// Flip several distinct bits.
-double flip_bits(double value, const unsigned* bits, unsigned count);
-
-// Classification of what a corrupted word looks like to software — used
-// by the outcome classifier to model crashes/hangs (NaN propagating into
-// a control loop reads as a module failure, matching the paper's observed
-// kernel panics and hangs).
-enum class CorruptionKind {
-  kNone,        // value unchanged (flip of an ignored bit pattern)
-  kBenignDelta, // finite value, relative change < 1e-6
-  kValueError,  // finite value, materially different
-  kExtreme,     // finite but magnitude > 1e12 (overflow-like)
-  kNonFinite,   // NaN or Inf
-};
-
-CorruptionKind classify_corruption(double original, double corrupted);
+// Flips `bits` distinct bits (0 = LSB of mantissa, 63 = sign) of the
+// double's 64-bit image. Positions are drawn from `rng` by rejection until
+// `bits` distinct ones are placed, so a fault's flip depends only on the
+// stream. Requires bits <= 64 (core::BitFlipModel enforces 1..64).
+double flip_random_bits(double value, unsigned bits, util::Rng& rng);
 
 }  // namespace drivefi::hw

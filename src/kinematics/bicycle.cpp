@@ -47,13 +47,6 @@ Deriv derivatives(double theta, double v, double phi, double throttle,
 
 }  // namespace
 
-double longitudinal_accel(const VehicleState& state, const Actuation& act,
-                          const VehicleParams& params) {
-  const double throttle = std::clamp(act.throttle, 0.0, 1.0);
-  const double brake = std::clamp(act.brake, 0.0, 1.0);
-  return accel_at(state.v, throttle, brake, params);
-}
-
 VehicleState step(const VehicleState& state, const Actuation& act,
                   const VehicleParams& params, double dt) {
   VehicleState s = state;
@@ -87,10 +80,6 @@ VehicleState step(const VehicleState& state, const Actuation& act,
   s.v = std::clamp(s.v, 0.0, params.max_speed);
   s.a = accel_at(s.v, throttle, brake, params);
   return s;
-}
-
-double distance(const VehicleState& a, const VehicleState& b) {
-  return std::hypot(a.x - b.x, a.y - b.y);
 }
 
 }  // namespace drivefi::kinematics

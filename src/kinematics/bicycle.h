@@ -51,18 +51,9 @@ struct VehicleParams {
   bool operator==(const VehicleParams&) const = default;
 };
 
-// Longitudinal acceleration produced by an actuation command, including
-// quadratic aero drag so cruise throttle is nonzero (makes throttle
-// corruptions observable, as in the paper's Example 1).
-double longitudinal_accel(const VehicleState& state, const Actuation& act,
-                          const VehicleParams& params);
-
 // Advance the bicycle model by dt seconds under a fixed actuation using
 // RK4 on the state [x, y, theta, v]. Steering obeys the slew limit.
 VehicleState step(const VehicleState& state, const Actuation& act,
                   const VehicleParams& params, double dt);
-
-// Euclidean distance between two states' positions.
-double distance(const VehicleState& a, const VehicleState& b);
 
 }  // namespace drivefi::kinematics

@@ -6,20 +6,10 @@ void FaultRegistry::register_target(FaultTarget target) {
   targets_.push_back(std::move(target));
 }
 
-void FaultRegistry::clear() { targets_.clear(); }
-
 const FaultTarget* FaultRegistry::find(const std::string& name) const {
   for (const auto& t : targets_)
     if (t.name == name) return &t;
   return nullptr;
-}
-
-std::vector<const FaultTarget*> FaultRegistry::by_module(
-    const std::string& module) const {
-  std::vector<const FaultTarget*> out;
-  for (const auto& t : targets_)
-    if (t.module == module) out.push_back(&t);
-  return out;
 }
 
 }  // namespace drivefi::runtime

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,14 +23,10 @@ struct FaultTarget {
 class FaultRegistry {
  public:
   void register_target(FaultTarget target);
-  void clear();
 
   std::size_t size() const { return targets_.size(); }
   const std::vector<FaultTarget>& targets() const { return targets_; }
   const FaultTarget* find(const std::string& name) const;
-
-  // All targets owned by a module (used for per-module campaign slices).
-  std::vector<const FaultTarget*> by_module(const std::string& module) const;
 
  private:
   std::vector<FaultTarget> targets_;

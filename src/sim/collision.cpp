@@ -39,8 +39,4 @@ bool obb_overlap(const Obb& a, const Obb& b) {
   return true;
 }
 
-double center_distance(const Obb& a, const Obb& b) {
-  return std::hypot(b.cx - a.cx, b.cy - a.cy);
-}
-
 }  // namespace drivefi::sim

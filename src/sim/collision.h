@@ -15,8 +15,4 @@ struct Obb {
 
 bool obb_overlap(const Obb& a, const Obb& b);
 
-// Shortest center distance at which these two boxes could touch along the
-// line connecting their centers (coarse bound used for near-miss stats).
-double center_distance(const Obb& a, const Obb& b);
-
 }  // namespace drivefi::sim

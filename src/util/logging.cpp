@@ -1,47 +1,25 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace drivefi::util {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-// Serializes emission only: executor worker threads and the coordinator
+// Serializes emission: executor worker threads and the coordinator
 // loop log concurrently, and a torn "[WARN ] ..." line is worse than a
-// momentary wait. Level checks stay lock-free.
+// momentary wait.
 std::mutex& emit_mutex() {
   static std::mutex mutex;
   return mutex;
 }
 
 const char* level_tag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO ";
-    case LogLevel::kWarn:
-      return "WARN ";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF  ";
-  }
-  return "?";
+  return level == LogLevel::kWarn ? "WARN " : "ERROR";
 }
 }  // namespace
 
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
 void log_message(LogLevel level, const std::string& message) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(emit_mutex());
   std::fprintf(stderr, "[%s] %s\n", level_tag(level), message.c_str());
 }

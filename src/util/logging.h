@@ -1,10 +1,11 @@
-// Minimal leveled logger. Emission is thread-safe: log_message is called
-// from ParallelExecutor worker threads and the coordinator loop as well as
-// the runtime scheduler, so a mutex serializes each line (no torn or
-// interleaved output). Ordering remains the caller's property: the runtime
-// scheduler is single-threaded and deterministic (see src/runtime), so ITS
-// log order is still part of the reproducible trace; concurrent callers
-// get whole lines in whatever order they reach the lock.
+// Minimal stderr logger with two levels, both always emitted. Emission is
+// thread-safe: log_message is called from ParallelExecutor worker threads
+// and the coordinator loop as well as the runtime scheduler, so a mutex
+// serializes each line (no torn or interleaved output). Ordering remains
+// the caller's property: the runtime scheduler is single-threaded and
+// deterministic (see src/runtime), so ITS log order is still part of the
+// reproducible trace; concurrent callers get whole lines in whatever order
+// they reach the lock.
 #pragma once
 
 #include <sstream>
@@ -12,11 +13,7 @@
 
 namespace drivefi::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-// Global log threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
+enum class LogLevel { kWarn, kError };
 
 void log_message(LogLevel level, const std::string& message);
 
@@ -44,7 +41,5 @@ class LogLine {
 
 }  // namespace drivefi::util
 
-#define DFI_LOG_DEBUG ::drivefi::util::internal::LogLine(::drivefi::util::LogLevel::kDebug)
-#define DFI_LOG_INFO ::drivefi::util::internal::LogLine(::drivefi::util::LogLevel::kInfo)
 #define DFI_LOG_WARN ::drivefi::util::internal::LogLine(::drivefi::util::LogLevel::kWarn)
 #define DFI_LOG_ERROR ::drivefi::util::internal::LogLine(::drivefi::util::LogLevel::kError)

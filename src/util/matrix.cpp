@@ -1,11 +1,10 @@
 #include "util/matrix.h"
 
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 #include "util/bits.h"
-#include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace drivefi::util {
 
@@ -39,17 +38,6 @@ double Vector::norm_inf() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::abs(v));
   return m;
-}
-
-std::string Vector::to_string() const {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (i) os << ", ";
-    os << data_[i];
-  }
-  os << "]";
-  return os.str();
 }
 
 bool bits_equal(const Vector& a, const Vector& b) {
@@ -87,12 +75,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::diagonal(const Vector& d) {
-  Matrix m(d.size(), d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) m(i, i) = d[i];
-  return m;
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)
@@ -117,12 +99,6 @@ Matrix& Matrix::operator*=(double s) {
   return *this;
 }
 
-Vector Matrix::row(std::size_t r) const {
-  Vector v(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) v[c] = (*this)(r, c);
-  return v;
-}
-
 Vector Matrix::col(std::size_t c) const {
   Vector v(rows_);
   for (std::size_t r = 0; r < rows_; ++r) v[r] = (*this)(r, c);
@@ -142,27 +118,6 @@ double Matrix::max_abs() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::abs(v));
   return m;
-}
-
-bool Matrix::is_symmetric(double tol) const {
-  if (rows_ != cols_) return false;
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = r + 1; c < cols_; ++c)
-      if (std::abs((*this)(r, c) - (*this)(c, r)) > tol) return false;
-  return true;
-}
-
-std::string Matrix::to_string() const {
-  std::ostringstream os;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (c) os << ", ";
-      os << (*this)(r, c);
-    }
-    os << (r + 1 == rows_ ? "]" : ";\n");
-  }
-  return os.str();
 }
 
 Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
@@ -226,12 +181,6 @@ Cholesky::Cholesky(const Matrix& a, double jitter) {
   ok_ = false;
 }
 
-double Cholesky::log_determinant() const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));
-  return 2.0 * acc;
-}
-
 Vector Cholesky::solve(const Vector& b) const {
   const std::size_t n = l_.rows();
   assert(b.size() == n);
@@ -282,7 +231,6 @@ Lu::Lu(const Matrix& a) : lu_(a), perm_(a.rows()) {
       for (std::size_t c = 0; c < n; ++c)
         std::swap(lu_(pivot, c), lu_(col, c));
       std::swap(perm_[pivot], perm_[col]);
-      sign_ = -sign_;
     }
     const double inv_pivot = 1.0 / lu_(col, col);
     for (std::size_t r = col + 1; r < n; ++r) {
@@ -323,14 +271,5 @@ Matrix Lu::solve(const Matrix& b) const {
 }
 
 Matrix Lu::inverse() const { return solve(Matrix::identity(lu_.rows())); }
-
-double Lu::determinant() const {
-  if (singular_) return 0.0;
-  double det = sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-Matrix inverse(const Matrix& a) { return Lu(a).inverse(); }
 
 }  // namespace drivefi::util

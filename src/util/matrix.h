@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace drivefi::util {
@@ -33,8 +32,6 @@ class Vector {
   double norm() const;
   double norm_inf() const;
 
-  std::string to_string() const;
-
  private:
   std::vector<double> data_;
 };
@@ -52,7 +49,6 @@ class Matrix {
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
   static Matrix identity(std::size_t n);
-  static Matrix diagonal(const Vector& d);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -71,7 +67,6 @@ class Matrix {
   Matrix& operator-=(const Matrix& rhs);
   Matrix& operator*=(double s);
 
-  Vector row(std::size_t r) const;
   Vector col(std::size_t c) const;
 
   // Submatrix selection by index lists (used heavily by Gaussian
@@ -80,9 +75,6 @@ class Matrix {
                 const std::vector<std::size_t>& col_idx) const;
 
   double max_abs() const;
-  bool is_symmetric(double tol = 1e-9) const;
-
-  std::string to_string() const;
 
  private:
   std::size_t rows_ = 0;
@@ -111,7 +103,6 @@ class Cholesky {
 
   bool ok() const { return ok_; }
   const Matrix& lower() const { return l_; }
-  double log_determinant() const;
 
   Vector solve(const Vector& b) const;   // A x = b
   Matrix solve(const Matrix& b) const;   // A X = B
@@ -121,7 +112,7 @@ class Cholesky {
   bool ok_ = false;
 };
 
-// LU with partial pivoting; general-purpose solve/inverse/determinant.
+// LU with partial pivoting; general-purpose solve/inverse.
 class Lu {
  public:
   explicit Lu(const Matrix& a);
@@ -130,15 +121,11 @@ class Lu {
   Vector solve(const Vector& b) const;
   Matrix solve(const Matrix& b) const;
   Matrix inverse() const;
-  double determinant() const;
 
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
-  int sign_ = 1;
   bool singular_ = false;
 };
-
-Matrix inverse(const Matrix& a);
 
 }  // namespace drivefi::util

@@ -26,7 +26,7 @@
 #include "core/jsonl.h"
 #include "core/manifest.h"
 #include "core/result_store.h"
-#include "net/chaos.h"
+#include "support/chaos.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 

@@ -40,6 +40,8 @@ TEST(CliFlagsDeathTest, CampaignFlagRejectsBadNumbers) {
       {"--seed", "18446744073709551616", "overflows uint64"},
       {"--threads", "4294967296", "overflows unsigned"},
       {"--bits", "99999999999", "overflows unsigned"},
+      {"--bits", "0", "flips nothing"},
+      {"--bits", "65", "more bits than a 64-bit word has"},
       {"--scenarios", "1e3", "float spelling"},
       {"--pipeline-seed", "7.0", "float spelling"},
   };
@@ -57,6 +59,7 @@ TEST(CliFlags, CampaignFlagAcceptsGoodNumbers) {
             18446744073709551615ull);
   EXPECT_EQ(parse_one("--threads", "4294967295").threads, 4294967295u);
   EXPECT_EQ(parse_one("--bits", "2").bits, 2u);
+  EXPECT_EQ(parse_one("--bits", "64").bits, 64u);
   EXPECT_EQ(parse_one("--checkpoint-stride", "16").checkpoint_stride, 16u);
   EXPECT_EQ(parse_one("--model", "bayesian").model_name, "bayesian");
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -57,17 +58,6 @@ TEST(FaultCatalog, ValuesAreRangeExtremes) {
     else
       EXPECT_DOUBLE_EQ(fault.value, 1.0);
   }
-}
-
-TEST(FaultCatalog, ExhaustiveCostScalesWithCatalog) {
-  const auto scenarios = small_suite();
-  const auto targets = default_target_ranges();
-  const auto catalog = build_catalog(scenarios, targets, 7.5);
-  const double cost = exhaustive_cost_seconds(catalog, scenarios, 10.0);
-  EXPECT_GT(cost, 0.0);
-  // Doubling the speed ratio halves the cost.
-  EXPECT_NEAR(exhaustive_cost_seconds(catalog, scenarios, 20.0), cost / 2.0,
-              1e-6);
 }
 
 TEST(FaultCatalog, DefaultTargetsMatchPipelineRegistry) {
@@ -187,17 +177,6 @@ TEST(Trace, GoldenRunProducesScenes) {
   EXPECT_EQ(trace.scenario_name, scenarios[0].name);
   EXPECT_GT(trace.scenes.size(), 200u);
   EXPECT_GT(trace.wall_seconds, 0.0);
-}
-
-TEST(Trace, DatasetSkipsLeadlessScenes) {
-  const auto scenarios = small_suite();
-  const auto traces =
-      run_golden_suite({scenarios[0]}, test_pipeline_config());
-  const bn::Dataset with_lead = traces_to_dataset(traces, true);
-  const bn::Dataset all = traces_to_dataset(traces, false);
-  EXPECT_LT(with_lead.rows.size(), all.rows.size());
-  EXPECT_GT(with_lead.rows.size(), 100u);
-  for (const auto& row : with_lead.rows) EXPECT_GE(row[0], 0.0);
 }
 
 // ---------- Bayesian model ----------
@@ -568,27 +547,26 @@ TEST(Campaign, RandomBitflipCampaignStats) {
   EXPECT_EQ(stats.masked + stats.sdc_benign + stats.hang + stats.hazard, 8u);
 }
 
+TEST(Campaign, BitFlipModelRejectsBitCountsOutsideTheWord) {
+  // 0 bits is a no-op campaign; 65 distinct bits of a 64-bit word can
+  // never be placed.
+  EXPECT_THROW(BitFlipModel(2, 7, 0), std::invalid_argument);
+  EXPECT_THROW(BitFlipModel(2, 7, 65), std::invalid_argument);
+  EXPECT_EQ(BitFlipModel(2, 7, 64).params(), "n=2 seed=7 bits=64");
+}
+
 TEST(Campaign, SinksSeeEveryRecordInOrder) {
   std::vector<sim::Scenario> scenarios = {sim::base_suite()[1]};
   Experiment experiment(scenarios, test_pipeline_config());
 
   StatsSink stats_sink;
-  std::ostringstream csv;
-  CsvSink csv_sink(csv);
   std::ostringstream jsonl;
   JsonlSink jsonl_sink(jsonl);
   const CampaignStats stats = experiment.run(
-      RandomValueModel(5, 321), {&stats_sink, &csv_sink, &jsonl_sink});
+      RandomValueModel(5, 321), {&stats_sink, &jsonl_sink});
 
   EXPECT_EQ(stats_sink.stats().total(), stats.total());
   EXPECT_EQ(stats_sink.stats().hazard, stats.hazard);
-
-  // CSV: header + one row per record.
-  std::size_t lines = 0;
-  std::string line;
-  std::istringstream csv_in(csv.str());
-  while (std::getline(csv_in, line)) ++lines;
-  EXPECT_EQ(lines, stats.total() + 1);
 
   // JSONL: campaign header + records + summary, streamed in order.
   EXPECT_NE(jsonl.str().find("\"model\":\"random-value\""), std::string::npos);

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/chaos.h"
+#include "support/chaos.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "util/rng.h"

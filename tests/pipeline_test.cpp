@@ -227,7 +227,7 @@ TEST(Pipeline, BitFaultFiresAtInstructionIndex) {
   pipeline.arm_bit_fault(fault);
 
   pipeline.run_for(10.0);
-  EXPECT_GT(pipeline.arch_state().instructions_retired(), 1'000'000u);
+  EXPECT_GT(pipeline.instructions_retired(), 1'000'000u);
   // The run completes; the flip either masked or perturbed the estimate,
   // but the pipeline itself must survive (EKF re-estimates each tick).
   EXPECT_FALSE(world.status().collided);

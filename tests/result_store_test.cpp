@@ -446,18 +446,6 @@ TEST(ResultSinkErrors, JsonlSinkThrowsWhenStreamFails) {
       std::runtime_error);
 }
 
-TEST(ResultSinkErrors, CsvSinkThrowsWhenStreamFails) {
-  FailingBuf buf(8);
-  std::ostream out(&buf);
-  CsvSink sink(out);
-  EXPECT_THROW(
-      {
-        sink.begin({});
-        sink.consume(make_record(0));
-      },
-      std::runtime_error);
-}
-
 TEST(ResultSinkErrors, HealthyStreamsDoNotThrow) {
   std::ostringstream out;
   JsonlSink sink(out);

@@ -77,20 +77,6 @@ TEST(FaultRegistry, RegisterFindAndAccess) {
   EXPECT_EQ(registry.find("nope"), nullptr);
 }
 
-TEST(FaultRegistry, ByModuleFilters) {
-  double a = 0.0, b = 0.0, c = 0.0;
-  FaultRegistry registry;
-  registry.register_target({"x.a", "x", 0, 1, [&] { return a; },
-                            [&](double v) { a = v; }});
-  registry.register_target({"x.b", "x", 0, 1, [&] { return b; },
-                            [&](double v) { b = v; }});
-  registry.register_target({"y.c", "y", 0, 1, [&] { return c; },
-                            [&](double v) { c = v; }});
-  EXPECT_EQ(registry.by_module("x").size(), 2u);
-  EXPECT_EQ(registry.by_module("y").size(), 1u);
-  EXPECT_TRUE(registry.by_module("z").empty());
-}
-
 // ---------- Scheduler ----------
 
 TEST(Scheduler, RatesDivideBase) {

@@ -15,7 +15,6 @@
 #include "core/experiment.h"
 #include "core/fault_model.h"
 #include "core/trace.h"
-#include "hw/arch_state.h"
 #include "kinematics/bicycle.h"
 #include "runtime/channel.h"
 #include "runtime/scheduler.h"
@@ -115,19 +114,6 @@ TEST(Snapshot, SchedulerRestoresTickAndEnables) {
   const std::vector<std::uint64_t> suffix(full.begin() + static_cast<std::ptrdiff_t>(uninterrupted.size()),
                                           full.end());
   EXPECT_EQ(fired_b, suffix);
-}
-
-// --- hw/arch_state --------------------------------------------------------
-
-TEST(Snapshot, ArchStateInstructionCounter) {
-  hw::ArchState arch;
-  arch.retire_instructions(12'345);
-  const auto snap = arch.snapshot();
-  arch.retire_instructions(1);
-  EXPECT_FALSE(arch.state_equals(snap));
-  arch.restore(snap);
-  EXPECT_TRUE(arch.state_equals(snap));
-  EXPECT_EQ(arch.instructions_retired(), 12'345u);
 }
 
 // --- kinematics/bicycle ---------------------------------------------------
@@ -388,6 +374,29 @@ TEST(Snapshot, PipelineSnapshotRoundTripCompares) {
   EXPECT_FALSE(pipeline.state_matches(snap));
   pipeline.restore(snap);
   EXPECT_TRUE(pipeline.state_matches(snap));
+}
+
+TEST(Snapshot, PipelineInstructionCounterRoundTrips) {
+  // Bit faults trigger on the dynamic instruction counter, so it is part
+  // of the captured state: restore rewinds it and a snapshot differing
+  // only in it does not match.
+  const sim::Scenario scenario = sim::base_suite()[2];
+  sim::World world(scenario.world);
+  ads::AdsPipeline pipeline(world, pipeline_config());
+  pipeline.run_for(1.0);
+  const ads::PipelineSnapshot snap = pipeline.snapshot();
+  EXPECT_GT(snap.instructions_retired, 0u);
+  EXPECT_EQ(snap.instructions_retired, pipeline.instructions_retired());
+
+  pipeline.run_for(0.5);
+  EXPECT_GT(pipeline.instructions_retired(), snap.instructions_retired);
+  pipeline.restore(snap);
+  EXPECT_EQ(pipeline.instructions_retired(), snap.instructions_retired);
+
+  ads::PipelineSnapshot off = snap;
+  ++off.instructions_retired;
+  EXPECT_TRUE(pipeline.state_matches(snap));
+  EXPECT_FALSE(pipeline.state_matches(off));
 }
 
 // --- golden-tail splice vs simulated tail ---------------------------------

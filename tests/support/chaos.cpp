@@ -1,4 +1,4 @@
-#include "net/chaos.h"
+#include "support/chaos.h"
 
 #include <algorithm>
 #include <chrono>

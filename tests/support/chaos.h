@@ -12,6 +12,10 @@
 /// exactly once instead of replaying on every fresh connection. An empty
 /// (default-constructed) policy is a strict pass-through, asserted
 /// equivalent to a bare MessageConnection in tests/net_test.cpp.
+///
+/// Test support only: CMake builds it as `drivefi_test_support`, linked by
+/// chaos_test and net_test. The library keeps just the seam it plugs into,
+/// coord::WorkerConfig::decorate_connection.
 #pragma once
 
 #include <cstdint>

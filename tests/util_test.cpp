@@ -125,12 +125,6 @@ TEST(Cholesky, FactorsAndSolves) {
   EXPECT_NEAR(2.0 * x[0] + 3.0 * x[1], 7.0, 1e-10);
 }
 
-TEST(Cholesky, LogDeterminant) {
-  Matrix a{{4.0, 0.0}, {0.0, 9.0}};
-  Cholesky chol(a);
-  EXPECT_NEAR(chol.log_determinant(), std::log(36.0), 1e-10);
-}
-
 TEST(Cholesky, HandlesNearSingularWithJitter) {
   // Rank-1 covariance (deterministic node case).
   Matrix a{{1.0, 1.0}, {1.0, 1.0}};
@@ -164,11 +158,6 @@ TEST(Lu, InverseRoundTrip) {
   for (std::size_t r = 0; r < 3; ++r)
     for (std::size_t c = 0; c < 3; ++c)
       EXPECT_NEAR(prod(r, c), r == c ? 1.0 : 0.0, 1e-10);
-}
-
-TEST(Lu, DeterminantKnown) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_NEAR(Lu(a).determinant(), -2.0, 1e-12);
 }
 
 TEST(Lu, DetectsSingular) {
@@ -211,18 +200,6 @@ TEST(Percentiles, Quantiles) {
   EXPECT_NEAR(p.quantile(0.0), 1.0, 1e-9);
   EXPECT_NEAR(p.quantile(1.0), 100.0, 1e-9);
   EXPECT_NEAR(p.quantile(0.5), 50.5, 1e-9);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-3.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 1.0);
 }
 
 // ---------- Table ----------
