@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -115,16 +116,15 @@ inline bool parse_campaign_flag(CampaignArgs& a, const std::string& arg,
     return static_cast<unsigned>(
         parse_u64_flag(arg, next(), std::numeric_limits<unsigned>::max()));
   };
-  // A flip hits distinct bits of one 64-bit word: 1..64.
+  // BitFlipModel owns the range of --bits; checked here, before the golden
+  // precompute, so a bad value costs nothing.
   const auto bit_count = [&] {
-    const std::string value = next();
-    const auto bits = parse_u64_flag(arg, value, 64);
-    if (bits == 0) {
-      std::fprintf(stderr, "error: %s must be at least 1, got %s\n",
-                   arg.c_str(), value.c_str());
+    try {
+      return drivefi::core::BitFlipModel::checked_bits(count());
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "error: %s: %s\n", arg.c_str(), error.what());
       std::exit(2);
     }
-    return static_cast<unsigned>(bits);
   };
   if (arg == "--model") a.model_name = next();
   else if (arg == "--runs") a.runs = count();

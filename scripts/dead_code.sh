@@ -19,7 +19,6 @@ set -euo pipefail
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD_DIR=${1:-$ROOT/build-deadcode}
-JOBS=${JOBS:-$(nproc)}
 
 AUDIT_FLAGS=(
   -DCMAKE_BUILD_TYPE=Release
@@ -29,10 +28,10 @@ AUDIT_FLAGS=(
 )
 
 cmake -S "$ROOT" -B "$BUILD_DIR/main" "${AUDIT_FLAGS[@]}" >/dev/null
-cmake --build "$BUILD_DIR/main" -j "$JOBS" >/dev/null
+cmake --build "$BUILD_DIR/main" -j "$(nproc)" >/dev/null
 cmake -S "$ROOT/perfbench" -B "$BUILD_DIR/perfbench" "${AUDIT_FLAGS[@]}" \
   >/dev/null
-cmake --build "$BUILD_DIR/perfbench" -j "$JOBS" >/dev/null
+cmake --build "$BUILD_DIR/perfbench" -j "$(nproc)" >/dev/null
 
 binaries=("$BUILD_DIR/perfbench/drivefi_perfbench")
 for src in "$ROOT"/bench/*.cpp "$ROOT"/examples/*.cpp "$ROOT"/tests/*.cpp; do

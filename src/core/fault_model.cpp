@@ -12,10 +12,14 @@
 namespace drivefi::core {
 
 BitFlipModel::BitFlipModel(std::size_t n, std::uint64_t seed, unsigned bits)
-    : n_(n), seed_(seed), bits_(bits), targets_(default_target_ranges()) {
+    : n_(n), seed_(seed), bits_(checked_bits(bits)),
+      targets_(default_target_ranges()) {}
+
+unsigned BitFlipModel::checked_bits(std::uint64_t bits) {
   if (bits < 1 || bits > 64)
-    throw std::invalid_argument("BitFlipModel: bits must be in 1..64, got " +
+    throw std::invalid_argument("bits must be in 1..64, got " +
                                 std::to_string(bits));
+  return static_cast<unsigned>(bits);
 }
 
 RunSpec BitFlipModel::spec(std::size_t run_index,

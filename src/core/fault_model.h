@@ -81,6 +81,10 @@ class BitFlipModel : public FaultModel {
  public:
   BitFlipModel(std::size_t n, std::uint64_t seed, unsigned bits = 1);
 
+  /// Returns `bits` if a flip can hit that many distinct bits of a 64-bit
+  /// word (1..64); throws std::invalid_argument otherwise.
+  static unsigned checked_bits(std::uint64_t bits);
+
   std::string name() const override { return "random-bitflip"; }
   std::size_t run_count() const override { return n_; }
   RunSpec spec(std::size_t run_index, const Experiment& experiment) const override;

@@ -27,6 +27,7 @@
 #include "core/manifest.h"
 #include "core/result_store.h"
 #include "support/chaos.h"
+#include "net/frame.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 
@@ -372,8 +373,11 @@ TEST(Chaos, WorkerHonoursCompleteQueuedBehindAConnectionReset) {
     coord::LeaseMsg lease;
     lease.lease_id = 1;
     lease.run_indices = {0, 1, 2};
-    conn.send_line(coord::encode(lease));
-    conn.send_line(coord::encode(coord::CompleteMsg{}));
+    // One write, so `complete` is queued behind the lease when the worker
+    // reads it: sent apart, a descheduled coordinator can leave the worker
+    // streaming its first record before the verdict exists.
+    conn.socket().send_all(net::encode_frame(coord::encode(lease)) +
+                           net::encode_frame(coord::encode(coord::CompleteMsg{})));
     // Zero linger: close() resets the connection, as a close with unread
     // frames does.
     const linger reset{1, 0};

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "ads/pipeline.h"
 #include "sim/scenario.h"
@@ -219,12 +221,28 @@ TEST(Pipeline, BitFaultFiresAtInstructionIndex) {
   const sim::Scenario scenario = sim::base_suite()[1];
   sim::World world(scenario.world);
   AdsPipeline pipeline(world, fast_config());
+  // Fault-free twin, stepped in lockstep, to read the flip against.
+  sim::World twin_world(scenario.world);
+  AdsPipeline twin(twin_world, fast_config());
 
   BitFault fault;
   fault.target = "localization.v";
   fault.bits = 1;
   fault.instruction_index = 1'000'000;
   pipeline.arm_bit_fault(fault);
+
+  const auto live_bits = [](AdsPipeline& p) {
+    return std::bit_cast<std::uint64_t>(
+        p.fault_registry().find("localization.v")->get());
+  };
+  while (pipeline.instructions_retired() < fault.instruction_index) {
+    EXPECT_EQ(live_bits(pipeline), live_bits(twin));
+    pipeline.step();
+    twin.step();
+  }
+  // The step that crossed the index wrote the flip into the live variable:
+  // exactly one bit of it differs from the twin's.
+  EXPECT_EQ(std::popcount(live_bits(pipeline) ^ live_bits(twin)), 1);
 
   pipeline.run_for(10.0);
   EXPECT_GT(pipeline.instructions_retired(), 1'000'000u);
